@@ -14,9 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import (DistanceProfile, EcReport, Edge, Graph, diameter,
-                    distance_profile, ec_nodes, gen_named, is_bipartite)
-from .sync_engine import InternalInvariantError, Trace, run_sync
+from .graph import (EcReport, Edge, Graph, _bfs, _ec_report, distance_profile,
+                    gen_named, is_bipartite)
+from .sync_engine import InternalInvariantError, Trace, _run, run_sync
 
 BIPARTITE_EXACT = "bipartite_exact"
 NONBIPARTITE_WINDOW = "nonbipartite_window"
@@ -48,24 +48,22 @@ class ClassificationReport:
         }
 
 
-def _classify_from_parts(source: int, trace: Trace, prof: DistanceProfile,
+def _window_ok(j: int, e: int, diam: int, bipartite: bool) -> bool:
+    return j == e if bipartite else e < j <= e + diam + 1
+
+
+def _classify_from_parts(source: int, trace: Trace, e: int,
                          diam: int, bipartite: bool) -> ClassificationReport:
-    j, e = trace.termination_round, prof.eccentricity
-    if bipartite:
-        ok = j == e
-        applied = BIPARTITE_EXACT
-    else:
-        ok = e < j <= e + diam + 1
-        applied = NONBIPARTITE_WINDOW
-    return ClassificationReport(source, bipartite, e, diam, j, ok, applied)
+    j = trace.termination_round
+    applied = BIPARTITE_EXACT if bipartite else NONBIPARTITE_WINDOW
+    return ClassificationReport(source, bipartite, e, diam, j,
+                                _window_ok(j, e, diam, bipartite), applied)
 
 
 def classify(g: Graph, source: int) -> ClassificationReport:
     """Run the synchronous engine and place the outcome in its termination window."""
     trace = run_sync(g, source)
-    prof = distance_profile(g, source)
-    return _classify_from_parts(source, trace, prof, diameter(g),
-                                is_bipartite(g).bipartite)
+    return _GraphContext(g, (source,)).classify(source, trace)
 
 
 @dataclass(frozen=True)
@@ -79,6 +77,17 @@ class AuditCheck:
     def to_json_obj(self) -> dict:
         return {"name": self.name, "ok": self.ok, "node": self.node,
                 "round": self.round, "detail": self.detail}
+
+
+AUDIT_CHECKS = ("layer_containment", "frontier_sends", "ec_second_receipt",
+                "single_visit_iff_no_ec", "neighbor_echo_window")
+# A passing check carries nothing but its name, so every audit shares these.
+_PASSED = {name: AuditCheck(name, True) for name in AUDIT_CHECKS}
+
+
+def _check(name: str, ok: bool, node: int | None, rnd: int | None,
+           detail: str) -> AuditCheck:
+    return _PASSED[name] if ok else AuditCheck(name, False, node, rnd, detail)
 
 
 @dataclass(frozen=True)
@@ -106,29 +115,35 @@ class TraceAudit:
 
 def audit_trace(g: Graph, source: int, trace: Trace) -> TraceAudit:
     """Audit a trace produced by run_sync(g, source)."""
-    return _audit_from_parts(g, trace, distance_profile(g, source),
-                             ec_nodes(g, source))
+    dist = distance_profile(g, source).dist
+    return _audit_from_parts(g, trace, dist, _ec_report(g, source, dist))
 
 
-def _audit_from_parts(g: Graph, trace: Trace, prof: DistanceProfile,
-                      ec: EcReport) -> TraceAudit:
-    occ: list[list[int]] = [[] for _ in range(g.n)]
+def _audit_from_parts(g: Graph, trace: Trace, dist, ec: EcReport) -> TraceAudit:
+    # One pass over the round-sets: each node's first and second receipt
+    # round (None when missing) and its number of receipts.
+    first: list[int | None] = [None] * g.n
+    second: list[int | None] = [None] * g.n
+    count = [0] * g.n
     for i, rs in enumerate(trace.round_sets):
         for v in rs:
-            occ[v].append(i)
-    dist = prof.dist
+            c = count[v]
+            if c == 0:
+                first[v] = i
+            elif c == 1:
+                second[v] = i
+            count[v] = c + 1
     checks: list[AuditCheck] = []
 
     # Every node's first receipt happens exactly at its BFS distance: the
     # layer at distance j is fully covered by round j and never touched earlier.
     ok, node, rnd, detail = True, None, None, ""
     for v in range(g.n):
-        if not occ[v] or occ[v][0] != dist[v]:
-            ok, node = False, v
-            rnd = occ[v][0] if occ[v] else None
+        if first[v] != dist[v]:
+            ok, node, rnd = False, v, first[v]
             detail = f"first receipt of {v} at {rnd}, distance {dist[v]}"
             break
-    checks.append(AuditCheck("layer_containment", ok, node, rnd, detail))
+    checks.append(_check("layer_containment", ok, node, rnd, detail))
 
     # Every edge from layer j to layer j+1 carries a send in round j+1.
     ok, node, rnd, detail = True, None, None, ""
@@ -141,21 +156,20 @@ def _audit_from_parts(g: Graph, trace: Trace, prof: DistanceProfile,
             ok, node, rnd = False, a, r + 1
             detail = f"edge ({a},{b}) carried no send in round {r + 1}"
             break
-    checks.append(AuditCheck("frontier_sends", ok, node, rnd, detail))
+    checks.append(_check("frontier_sends", ok, node, rnd, detail))
 
     # An equidistantly-connected node at distance j receives again exactly in
     # round j+1.
     ok, node, rnd, detail = True, None, None, ""
     for v in sorted(ec.ec_nodes):
-        if len(occ[v]) < 2 or occ[v][1] != dist[v] + 1:
-            ok, node = False, v
-            rnd = occ[v][1] if len(occ[v]) > 1 else None
+        if second[v] != dist[v] + 1:
+            ok, node, rnd = False, v, second[v]
             detail = f"ec node {v} second receipt at {rnd}, expected {dist[v] + 1}"
             break
-    checks.append(AuditCheck("ec_second_receipt", ok, node, rnd, detail))
+    checks.append(_check("ec_second_receipt", ok, node, rnd, detail))
 
     # All nodes receive exactly once if and only if there are no ec nodes.
-    single = all(len(o) == 1 for o in occ)
+    single = all(c == 1 for c in count)
     ok = single == (not ec.ec_nodes)
     node, rnd, detail = None, None, ""
     if not ok:
@@ -163,29 +177,29 @@ def _audit_from_parts(g: Graph, trace: Trace, prof: DistanceProfile,
             node = min(ec.ec_nodes)
             detail = f"ec nodes exist ({node}) but every node received exactly once"
         else:
-            node = next(v for v in range(g.n) if len(occ[v]) != 1)
-            rnd = occ[node][1] if len(occ[node]) > 1 else None
-            detail = f"no ec nodes but node {node} received {len(occ[node])} times"
-    checks.append(AuditCheck("single_visit_iff_no_ec", ok, node, rnd, detail))
+            node = next(v for v in range(g.n) if count[v] != 1)
+            rnd = second[node]
+            detail = f"no ec nodes but node {node} received {count[node]} times"
+    checks.append(_check("single_visit_iff_no_ec", ok, node, rnd, detail))
 
     # If a node receives a second time in round j, each neighbour's second
     # receipt falls in round j-1, j, or j+1. Nodes with a single receipt do
     # not trigger the check.
     ok, node, rnd, detail = True, None, None, ""
     for h in range(g.n):
-        if len(occ[h]) < 2:
+        j = second[h]
+        if j is None:
             continue
-        j = occ[h][1]
         for w in g.adj[h]:
-            if len(occ[w]) < 2 or not j - 1 <= occ[w][1] <= j + 1:
-                ok, node = False, w
-                rnd = occ[w][1] if len(occ[w]) > 1 else None
+            sw = second[w]
+            if sw is None or not j - 1 <= sw <= j + 1:
+                ok, node, rnd = False, w, sw
                 detail = (f"neighbour {w} of {h} has second receipt {rnd}, "
                           f"outside rounds {j - 1}..{j + 1}")
                 break
         if not ok:
             break
-    checks.append(AuditCheck("neighbor_echo_window", ok, node, rnd, detail))
+    checks.append(_check("neighbor_echo_window", ok, node, rnd, detail))
 
     return TraceAudit(tuple(checks))
 
@@ -193,11 +207,44 @@ def _audit_from_parts(g: Graph, trace: Trace, prof: DistanceProfile,
 def analyze(g: Graph, source: int) -> tuple[ClassificationReport, TraceAudit]:
     """Classification plus audit for one (graph, source), running the engine once."""
     trace = run_sync(g, source)
-    prof = distance_profile(g, source)
-    ec = ec_nodes(g, source)
-    report = _classify_from_parts(source, trace, prof, diameter(g),
-                                  is_bipartite(g).bipartite)
-    return report, _audit_from_parts(g, trace, prof, ec)
+    ctx = _GraphContext(g, (source,))
+    return ctx.classify(source, trace), ctx.audit(source, trace)
+
+
+class _GraphContext:
+    """The facts the verdicts need about one connected graph, each computed
+    once: one BFS row per node gives the diameter, and the rows of
+    ``sources`` are kept for their eccentricities and ec sets; the other rows
+    are dropped, so a single-source caller holds O(n+m), not an n x n table.
+    Bipartiteness comes from the independent coloring oracle, once."""
+
+    __slots__ = ("g", "rows", "diameter", "bipartite")
+
+    def __init__(self, g: Graph, sources):
+        keep = set(sources)
+        self.g = g
+        self.rows: dict[int, list[int]] = {}
+        diam = 0
+        for s in range(g.n):
+            row = _bfs(g, s)
+            diam = max(diam, max(row))
+            if s in keep:
+                self.rows[s] = row
+        self.diameter = diam
+        self.bipartite = is_bipartite(g).bipartite
+
+    def eccentricity(self, source: int) -> int:
+        return max(self.rows[source])
+
+    def ec(self, source: int) -> EcReport:
+        return _ec_report(self.g, source, self.rows[source])
+
+    def classify(self, source: int, trace: Trace) -> ClassificationReport:
+        return _classify_from_parts(source, trace, self.eccentricity(source),
+                                    self.diameter, self.bipartite)
+
+    def audit(self, source: int, trace: Trace) -> TraceAudit:
+        return _audit_from_parts(self.g, trace, self.rows[source], self.ec(source))
 
 
 def _pair_table(n: int) -> tuple[Edge, ...]:
@@ -274,8 +321,8 @@ def _examine_graph(g: Graph):
 
     Returns (runs, max_j, j-e histogram, violations, bipartite_runs).
     """
-    diam = diameter(g)
-    bip = is_bipartite(g).bipartite
+    ctx = _GraphContext(g, range(g.n))
+    diam, bip = ctx.diameter, ctx.bipartite
     runs = 0
     max_j = 0
     hist: Counter[int] = Counter()
@@ -285,10 +332,9 @@ def _examine_graph(g: Graph):
         runs += 1
         if bip:
             bipartite_runs += 1
-        prof = distance_profile(g, source)
-        ec = ec_nodes(g, source)
+        e = ctx.eccentricity(source)
         try:
-            trace = run_sync(g, source)
+            trace = _run(g, source)
         except InternalInvariantError as exc:
             dump = exc.trace.to_json_obj() if exc.trace is not None else None
             violations.append(SweepViolation(g.n, g.edges, source,
@@ -296,19 +342,17 @@ def _examine_graph(g: Graph):
             continue
         j = trace.termination_round
         max_j = max(max_j, j)
-        hist[j - prof.eccentricity] += 1
+        hist[j - e] += 1
         if j >= 2 * g.n + 1:
             violations.append(SweepViolation(
                 g.n, g.edges, source, "termination_bound",
                 f"j={j} not below 2n+1={2 * g.n + 1}", trace.to_json_obj()))
-        report = _classify_from_parts(source, trace, prof, diam, bip)
-        if not report.window_ok:
+        if not _window_ok(j, e, diam, bip):
             violations.append(SweepViolation(
                 g.n, g.edges, source, "termination_window",
-                f"j={j} outside window for e={prof.eccentricity} d={diam} "
+                f"j={j} outside window for e={e} d={diam} "
                 f"bipartite={bip}", trace.to_json_obj()))
-        audit = _audit_from_parts(g, trace, prof, ec)
-        for c in audit.failures:
+        for c in ctx.audit(source, trace).failures:
             violations.append(SweepViolation(
                 g.n, g.edges, source, f"audit:{c.name}", c.detail,
                 trace.to_json_obj()))
@@ -434,9 +478,9 @@ class SharpSearchResult:
 
 
 def _sharp_witness(g: Graph, source: int) -> SharpWitness:
-    prof = distance_profile(g, source)
     trace = run_sync(g, source)
-    return SharpWitness(g, source, prof.eccentricity, diameter(g),
+    ctx = _GraphContext(g, (source,))
+    return SharpWitness(g, source, ctx.eccentricity(source), ctx.diameter,
                         trace.termination_round)
 
 
@@ -466,11 +510,10 @@ def find_sharp_example(n_max: int, target: tuple[int, int] = (2, 4)) -> SharpSea
     n_searched = 0
     for n in range(2, n_max + 1):
         for g in connected_graphs(n):
-            diam = diameter(g)
+            ctx = _GraphContext(g, range(g.n))
+            diam = ctx.diameter
             for source in range(g.n):
-                prof = distance_profile(g, source)
-                trace = run_sync(g, source)
-                e, j = prof.eccentricity, trace.termination_round
+                e, j = ctx.eccentricity(source), _run(g, source).termination_round
                 if j != e + diam + 1:
                     continue
                 w = SharpWitness(g, source, e, diam, j)

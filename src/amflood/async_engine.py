@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import DisconnectedGraphError, Graph, is_connected
-from .sync_engine import InternalInvariantError, Trace
+from .sync_engine import InternalInvariantError, Trace, _forward
 
 Message = tuple[int, int, int]  # (sender, receiver, rounds already held)
 AsyncConfiguration = frozenset[Message]
@@ -37,9 +37,10 @@ class AdversaryDecision:
 class Adversary:
     """Per-round delivery scheduler.
 
-    ``deterministic`` declares decide() to be a pure function of the
-    configuration; only then can a repeated configuration certify
-    non-termination. ``bind`` is called once at the start of each run.
+    decide() sees the round-start configuration alone. ``deterministic``
+    declares it to be a pure function of that configuration; only then can a
+    repeated configuration certify non-termination. ``bind`` is called once
+    at the start of each run.
     """
 
     name = "adversary"
@@ -48,8 +49,7 @@ class Adversary:
     def bind(self, g: Graph) -> None:
         pass
 
-    def decide(self, round_no: int, config: AsyncConfiguration,
-               history: tuple) -> AdversaryDecision:
+    def decide(self, config: AsyncConfiguration) -> AdversaryDecision:
         raise NotImplementedError
 
 
@@ -59,7 +59,7 @@ class ZeroDelayAdversary(Adversary):
     name = "zero"
     deterministic = True
 
-    def decide(self, round_no, config, history):
+    def decide(self, config):
         return AdversaryDecision()
 
 
@@ -78,7 +78,7 @@ class HoldSecondSenderAdversary(Adversary):
     def bind(self, g: Graph) -> None:
         self._active = g.n == 3 and g.m == 3
 
-    def decide(self, round_no, config, history):
+    def decide(self, config):
         if not self._active or len(config) != 2:
             return AdversaryDecision()
         (u1, v1, _a1), (u2, v2, a2) = sorted(config)
@@ -154,33 +154,28 @@ def _freeze(pending: dict[tuple[int, int], int]) -> AsyncConfiguration:
 
 
 def _execute_round(g: Graph, pending: dict[tuple[int, int], int],
-                   decision: AdversaryDecision, hold_cap: int
-                   ) -> tuple[dict[tuple[int, int], int], AsyncRound]:
-    pool = _freeze(pending)
-    for arc in decision.hold:
+                   pool: AsyncConfiguration, decision: AdversaryDecision,
+                   hold_cap: int) -> tuple[dict[tuple[int, int], int], AsyncRound]:
+    """Resolve one round; ``pool`` is ``_freeze(pending)``."""
+    hold = decision.hold
+    for arc in hold:
         if arc not in pending:
             raise UnfairScheduleError(f"adversary held {arc} which is not in flight")
         if pending[arc] >= hold_cap:
             raise UnfairScheduleError(
                 f"message on {arc} held past the {hold_cap}-round cap")
-    inbox: dict[int, set[int]] = {}
-    for (u, v), _age in pending.items():
-        if (u, v) not in decision.hold:
-            inbox.setdefault(v, set()).add(u)
-    nxt = {arc: pending[arc] + 1 for arc in decision.hold}
-    for v, senders in inbox.items():
-        for w in g.adj[v]:
-            if w not in senders:
-                # a fresh send on an arc that already carries a held copy
-                # collapses into it; the token is a single indistinguishable M
-                nxt.setdefault((v, w), 0)
-    record = AsyncRound(
-        pool=pool,
-        delivered=frozenset(m for m in pool if (m[0], m[1]) not in decision.hold),
-        held=frozenset(m for m in pool if (m[0], m[1]) in decision.hold),
-        receipts=frozenset(inbox),
-    )
-    return nxt, record
+    if hold:
+        delivered = frozenset(m for m in pool if (m[0], m[1]) not in hold)
+        held = frozenset(m for m in pool if (m[0], m[1]) in hold)
+    else:
+        delivered, held = pool, frozenset()
+    receipts, sends = _forward(g, ((u, v) for u, v, _age in delivered))
+    nxt = {arc: pending[arc] + 1 for arc in hold}
+    for arc in sends:
+        # a fresh send on an arc that already carries a held copy collapses
+        # into it; the token is a single indistinguishable M
+        nxt.setdefault(arc, 0)
+    return nxt, AsyncRound(pool=pool, delivered=delivered, held=held, receipts=receipts)
 
 
 def run_async(g: Graph, source: int, adversary: Adversary,
@@ -220,8 +215,8 @@ def run_async(g: Graph, source: int, adversary: Adversary,
                 cycle = (seen[config], r - seen[config])
                 break
             seen[config] = r
-        decision = adversary.decide(r, config, tuple(rounds))
-        pending, record = _execute_round(g, pending, decision, hold_cap)
+        pending, record = _execute_round(g, pending, config,
+                                         adversary.decide(config), hold_cap)
         rounds.append(record)
         round_sets.append(record.receipts)
 
@@ -235,8 +230,8 @@ def run_async(g: Graph, source: int, adversary: Adversary,
         config = _freeze(pending)
         if config != rounds[first - 1 + k].pool:
             raise InternalInvariantError("configuration cycle failed to replay")
-        decision = adversary.decide(r + k, config, tuple(rounds))
-        pending, record = _execute_round(g, pending, decision, hold_cap)
+        pending, record = _execute_round(g, pending, config,
+                                         adversary.decide(config), hold_cap)
         rounds.append(record)
         round_sets.append(record.receipts)
     if _freeze(pending) != rounds[first - 1].pool:

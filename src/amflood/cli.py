@@ -16,7 +16,7 @@ from pathlib import Path
 from . import analysis, async_engine
 from .graph import GraphError, gen_named, gen_random, parse_edge_list
 from .jsonio import dumps_stable
-from .sync_engine import run_sync
+from .sync_engine import RoundBudgetError, run_sync
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -92,12 +92,26 @@ def _emit(out: str | None, obj) -> None:
         sys.stdout.write(text)
 
 
+def _check_positive(flag: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def _cmd_run(args) -> int:
+    _check_positive("--max-rounds", args.max_rounds)
     g = _load_graph(args)
     source = g.resolve(args.source)
     kind, adv_name, hold_cap = _parse_mode(args.mode)
     if kind == "sync":
-        trace = run_sync(g, source, args.max_rounds)
+        try:
+            trace = run_sync(g, source, args.max_rounds)
+        except RoundBudgetError as exc:
+            # Only a budget the user set may run out; the default 2n+2 guard
+            # running out is an engine bug and stays an internal error.
+            if args.max_rounds is None:
+                raise
+            _emit(args.out, exc.trace.to_json_obj())
+            return EXIT_EXHAUSTED
         _emit(args.out, trace.to_json_obj())
         return EXIT_OK
     adversary = ADVERSARIES[adv_name]()
@@ -122,6 +136,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_positive("--jobs", args.jobs)
     summary = analysis.sweep(args.n_max, jobs=args.jobs)
     _emit(args.out, summary.to_json_obj())
     return EXIT_OK if not summary.violations else EXIT_VIOLATION

@@ -75,9 +75,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -214,8 +211,12 @@ class EcReport:
 
 def ec_nodes(g: Graph, source: int) -> EcReport:
     """Exact set of equidistantly-connected nodes with their witness edges."""
-    prof = distance_profile(g, source)
-    wit = tuple(e for e in g.edges if prof.dist[e[0]] == prof.dist[e[1]])
+    return _ec_report(g, source, distance_profile(g, source).dist)
+
+
+def _ec_report(g: Graph, source: int, dist) -> EcReport:
+    """ec_nodes from ``dist``, the BFS distances around ``source``."""
+    wit = tuple(e for e in g.edges if dist[e[0]] == dist[e[1]])
     members = frozenset(v for e in wit for v in e)
     return EcReport(source, members, wit)
 

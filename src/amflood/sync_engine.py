@@ -24,6 +24,10 @@ class InternalInvariantError(RuntimeError):
         self.trace = trace
 
 
+class RoundBudgetError(InternalInvariantError):
+    """A run was still active when its round budget ran out."""
+
+
 @dataclass(frozen=True)
 class Trace:
     """Complete record of one synchronous run.
@@ -52,21 +56,31 @@ class Trace:
         }
 
 
+def _forward(g: Graph, config) -> tuple[frozenset[int], Configuration]:
+    """One round in a single pass over ``config``'s arcs: the nodes receiving
+    this round and the sends they make next, each to every neighbour that did
+    not just send to it. The one forward rule of the package; both engines
+    call it."""
+    edge_set = g.edge_set
+    inbox: dict[int, set[int]] = {}
+    for u, v in config:
+        if ((u, v) if u < v else (v, u)) not in edge_set:
+            raise InternalInvariantError(f"in-flight arc {(u, v)} is not an edge")
+        senders = inbox.get(v)
+        if senders is None:
+            inbox[v] = {u}
+        else:
+            senders.add(u)
+    adj = g.adj
+    out = frozenset([(v, w) for v, senders in inbox.items()
+                     for w in adj[v] if w not in senders])
+    return frozenset(inbox), out
+
+
 def step(g: Graph, config: Configuration) -> Configuration:
     """One synchronous round: receivers of ``config`` forward to everyone who
     did not just send to them. Pure; consults no state besides its arguments."""
-    inbox: dict[int, set[int]] = {}
-    for u, v in config:
-        e = (u, v) if u < v else (v, u)
-        if e not in g.edge_set:
-            raise InternalInvariantError(f"in-flight arc {(u, v)} is not an edge")
-        inbox.setdefault(v, set()).add(u)
-    out = set()
-    for v, senders in inbox.items():
-        for w in g.adj[v]:
-            if w not in senders:
-                out.add((v, w))
-    return frozenset(out)
+    return _forward(g, config)[1]
 
 
 def run_sync(g: Graph, source: int, max_rounds: int | None = None) -> Trace:
@@ -74,33 +88,42 @@ def run_sync(g: Graph, source: int, max_rounds: int | None = None) -> Trace:
 
     ``max_rounds`` defaults to 2n+2, one beyond the proven termination bound,
     so a run that would exceed it surfaces as an engine bug rather than being
-    silently truncated. A node landing in more than two round-sets is likewise
-    a hard error.
+    silently truncated. Running out of rounds raises RoundBudgetError with the
+    partial trace. A node landing in more than two round-sets is likewise a
+    hard error.
     """
     g.check_node(source)
     if not is_connected(g):
         raise DisconnectedGraphError("flooding needs a connected graph")
+    return _run(g, source, max_rounds)
+
+
+def _run(g: Graph, source: int, max_rounds: int | None = None) -> Trace:
+    """run_sync on a graph the caller has already proved connected."""
     if max_rounds is None:
         max_rounds = 2 * g.n + 2
 
     cur: Configuration = frozenset((source, w) for w in g.adj[source])
     rounds: list[Configuration] = []
     round_sets: list[frozenset[int]] = [frozenset((source,))]
+    counts = [0] * g.n
+    counts[source] = 1
     while cur:
         if len(rounds) >= max_rounds:
             partial = Trace(g.n, source, tuple(rounds), tuple(round_sets), len(rounds))
-            raise InternalInvariantError(
+            raise RoundBudgetError(
                 f"still active after {max_rounds} rounds on n={g.n}", partial)
         rounds.append(cur)
-        round_sets.append(frozenset(v for _, v in cur))
-        cur = step(g, cur)
+        receivers, cur = _forward(g, cur)
+        round_sets.append(receivers)
+        for v in receivers:
+            counts[v] += 1
 
     trace = Trace(g.n, source, tuple(rounds), tuple(round_sets), len(rounds))
-    counts = round_multiplicity(trace)
-    worst = max(counts, key=counts.get)
-    if counts[worst] > 2:
+    most = max(counts)
+    if most > 2:
         raise InternalInvariantError(
-            f"node {worst} received in {counts[worst]} distinct round-sets", trace)
+            f"node {counts.index(most)} received in {most} distinct round-sets", trace)
     return trace
 
 

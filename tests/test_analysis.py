@@ -3,10 +3,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from amflood.analysis import (BIPARTITE_EXACT, NONBIPARTITE_WINDOW, analyze,
-                              audit_trace, classify, connected_graphs,
-                              find_sharp_example, sweep)
-from amflood.graph import gen_named, is_bipartite, parse_edge_list
+from amflood import sync_engine
+from amflood.analysis import (AUDIT_CHECKS, BIPARTITE_EXACT, NONBIPARTITE_WINDOW,
+                              _GraphContext, analyze, audit_trace, classify,
+                              connected_graphs, find_sharp_example, sweep)
+from amflood.graph import (diameter, distance_profile, ec_nodes, gen_named,
+                           is_bipartite, parse_edge_list)
+from amflood.jsonio import dumps_stable
 from amflood.sync_engine import round_multiplicity, run_sync
 
 from conftest import connected_graph
@@ -95,6 +98,25 @@ def test_analyze_combines_both_views():
     assert rep.window_ok and audit.all_ok
 
 
+def test_graph_context_matches_public_oracles():
+    # every connected labeled graph with n <= 5, every source, both the
+    # all-sources context of the sweep and the single-source one of analyze
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            full = _GraphContext(g, range(n))
+            assert full.diameter == diameter(g)
+            assert full.bipartite == is_bipartite(g).bipartite
+            for s in range(n):
+                trace = run_sync(g, s)
+                audit = dumps_stable(audit_trace(g, s, trace).to_json_obj())
+                for ctx in (full, _GraphContext(g, (s,))):
+                    assert ctx.diameter == full.diameter
+                    assert ctx.bipartite == full.bipartite
+                    assert ctx.eccentricity(s) == distance_profile(g, s).eccentricity
+                    assert ctx.ec(s) == ec_nodes(g, s)
+                    assert dumps_stable(ctx.audit(s, trace).to_json_obj()) == audit
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_counts_and_zero_violations_n3():
@@ -128,6 +150,27 @@ def test_sweep_parallel_is_byte_identical():
     a = dumps_stable(sweep(5, jobs=1).to_json_obj())
     b = dumps_stable(sweep(5, jobs=4).to_json_obj())
     assert a == b
+
+
+def test_sweep_reports_a_faulty_kernel(monkeypatch):
+    # Drop one arc from every round's sends: the sweep must flag it, naming
+    # the check and carrying the trace.
+    forward = sync_engine._forward
+
+    def dropping(g, config):
+        receivers, out = forward(g, config)
+        return receivers, (out - {max(out)} if out else out)
+
+    monkeypatch.setattr(sync_engine, "_forward", dropping)
+    s = sweep(4, jobs=1)
+    assert s.violations
+    names = {"engine_invariant", "termination_bound", "termination_window",
+             *(f"audit:{c}" for c in AUDIT_CHECKS)}
+    for v in s.violations:
+        assert v.check in names
+        assert v.trace is not None
+    assert {v.check for v in s.violations} >= {"termination_window",
+                                                "audit:layer_containment"}
 
 
 def test_sweep_rejects_bad_n_max():

@@ -119,7 +119,7 @@ def test_small_budget_exhausts_before_cycle():
 class _Stubborn(Adversary):
     deterministic = False
 
-    def decide(self, round_no, config, history):
+    def decide(self, config):
         # keep holding the lexicographically largest message forever
         if config:
             u, v, _ = max(config)
@@ -134,7 +134,7 @@ def test_holding_past_cap_is_rejected():
 
 def test_holding_unknown_arc_is_rejected():
     class Bad(Adversary):
-        def decide(self, round_no, config, history):
+        def decide(self, config):
             return AdversaryDecision(hold=frozenset(((7, 8),)))
 
     with pytest.raises(UnfairScheduleError):
@@ -198,7 +198,7 @@ def test_engine_agrees_on_scripted_path_schedules():
     class HoldMax(Adversary):
         deterministic = True
 
-        def decide(self, round_no, config, history):
+        def decide(self, config):
             fresh = [m for m in config if m[2] == 0]
             if fresh and len(config) > 1:
                 u, v, _ = max(fresh)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from amflood import cli
+from amflood import cli, sync_engine
 from amflood.analysis import connected_graphs
+from amflood.sync_engine import InternalInvariantError
 
 
 def _run(capsys, *argv):
@@ -142,3 +143,48 @@ def test_reruns_are_byte_identical(capsys):
     _, a, _ = _run(capsys, "run", "--named", "petersen", "--source", "3")
     _, b, _ = _run(capsys, "run", "--named", "petersen", "--source", "3")
     assert a == b
+
+
+def test_sync_user_budget_exhausted_exits_four_with_partial_trace(capsys):
+    code, out, _ = _run(capsys, "run", "--named", "cycle:5", "--source", "0",
+                        "--max-rounds", "1")
+    assert code == cli.EXIT_EXHAUSTED
+    obj = json.loads(out)
+    assert obj["rounds"] == [[[0, 1], [0, 4]]]
+    assert obj["round_sets"] == [[0], [1, 4]]
+
+
+def test_sync_budget_that_suffices_exits_zero(capsys):
+    code, out, _ = _run(capsys, "run", "--named", "cycle:5", "--source", "0",
+                        "--max-rounds", "5")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["termination_round"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--named", "cycle:5", "--source", "0", "--max-rounds", "0"),
+    ("run", "--named", "cycle:5", "--source", "0", "--max-rounds", "-2"),
+    ("run", "--named", "cycle:3", "--source", "0", "--mode", "async:fig6",
+     "--max-rounds", "0"),
+    ("sweep", "--n-max", "3", "--jobs", "-3"),
+    ("sweep", "--n-max", "3", "--jobs", "0"),
+])
+def test_non_positive_budget_or_jobs_exits_two(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_default_guard_breach_stays_internal_error(capsys, monkeypatch):
+    # A kernel that bounces every arc back never drains; without a user
+    # budget that is an engine bug, not an exhausted budget.
+    def bouncing(g, config):
+        receivers, _ = forward(g, config)
+        return receivers, frozenset((v, u) for u, v in config)
+
+    forward = sync_engine._forward
+    monkeypatch.setattr(sync_engine, "_forward", bouncing)
+    with pytest.raises(InternalInvariantError, match="still active after 12 rounds"):
+        cli.main(["run", "--named", "cycle:5", "--source", "0"])
+    assert capsys.readouterr().out == ""

@@ -3,9 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from amflood import sync_engine
 from amflood.graph import Graph, GraphError, DisconnectedGraphError, gen_named, parse_edge_list
-from amflood.sync_engine import (InternalInvariantError, round_multiplicity,
-                                 run_sync, step)
+from amflood.sync_engine import (InternalInvariantError, RoundBudgetError,
+                                 round_multiplicity, run_sync, step)
 
 from conftest import connected_graph
 
@@ -90,6 +91,37 @@ def test_run_sync_budget_is_hard_error():
     with pytest.raises(InternalInvariantError) as exc:
         run_sync(gen_named("cycle", 5), 0, max_rounds=2)
     assert exc.value.trace is not None  # partial trace for debugging
+
+
+def test_run_sync_budget_error_carries_the_rounds_run():
+    with pytest.raises(RoundBudgetError) as exc:
+        run_sync(gen_named("cycle", 5), 0, max_rounds=2)
+    assert len(exc.value.trace.rounds) == 2
+    assert exc.value.trace.round_sets == (frozenset({0}), frozenset({1, 4}),
+                                          frozenset({2, 3}))
+
+
+def test_receipt_multiplicity_guard_fires(monkeypatch):
+    # A kernel that also bounces each arc back for its first three rounds:
+    # on the path 0-1 node 0 receives in rounds 0, 2 and 4, and the run
+    # drains after 4 rounds, inside the 2n+2 budget.
+    forward = sync_engine._forward
+    calls = []
+
+    def bouncing(g, config):
+        receivers, out = forward(g, config)
+        calls.append(config)
+        if len(calls) <= 3:
+            out = out | {(v, u) for u, v in config}
+        return receivers, out
+
+    monkeypatch.setattr(sync_engine, "_forward", bouncing)
+    with pytest.raises(InternalInvariantError,
+                       match="node 0 received in 3 distinct round-sets") as exc:
+        run_sync(gen_named("path", 2), 0)
+    assert not isinstance(exc.value, RoundBudgetError)
+    assert exc.value.trace.round_sets == (frozenset({0}), frozenset({1}), frozenset({0}),
+                                          frozenset({1}), frozenset({0}))
 
 
 def test_single_node_graph_terminates_immediately():
