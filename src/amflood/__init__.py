@@ -3,20 +3,6 @@ finite graphs: a synchronous engine, a round-asynchronous engine with
 adversarial scheduling, static graph oracles, trace audits, and exhaustive
 small-graph sweeps."""
 
-from .analysis import (AuditCheck, ClassificationReport, SharpSearchResult,
-                       SharpWitness, SweepSummary, SweepViolation, TraceAudit,
-                       analyze, audit_trace, classify, connected_graphs,
-                       find_sharp_example, sweep)
-from .async_engine import (Adversary, AdversaryDecision, AsyncConfiguration,
-                           AsyncRound, AsyncVerdict, HoldSecondSenderAdversary,
-                           OUTCOME_CYCLE, OUTCOME_EXHAUSTED, OUTCOME_TERMINATED,
-                           UnfairScheduleError, ZeroDelayAdversary,
-                           fig6_adversary, run_async)
-from .graph import (BipartiteResult, DisconnectedGraphError, DistanceProfile,
-                    EcReport, Graph, GraphError, diameter, distance_profile,
-                    ec_nodes, gen_named, gen_random, is_bipartite, is_connected,
-                    parse_edge_list, render_edge_list)
-from .sync_engine import (Configuration, InternalInvariantError, Trace,
-                          round_multiplicity, run_sync, step)
+from . import analysis, async_engine, graph, jsonio, sync_engine
 
 __version__ = "0.1.0"

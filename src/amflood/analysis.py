@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .graph import (EcReport, Edge, Graph, _bfs, _ec_report, distance_profile,
@@ -50,14 +50,6 @@ class ClassificationReport:
 
 def _window_ok(j: int, e: int, diam: int, bipartite: bool) -> bool:
     return j == e if bipartite else e < j <= e + diam + 1
-
-
-def _classify_from_parts(source: int, trace: Trace, e: int,
-                         diam: int, bipartite: bool) -> ClassificationReport:
-    j = trace.termination_round
-    applied = BIPARTITE_EXACT if bipartite else NONBIPARTITE_WINDOW
-    return ClassificationReport(source, bipartite, e, diam, j,
-                                _window_ok(j, e, diam, bipartite), applied)
 
 
 def classify(g: Graph, source: int) -> ClassificationReport:
@@ -240,15 +232,13 @@ class _GraphContext:
         return _ec_report(self.g, source, self.rows[source])
 
     def classify(self, source: int, trace: Trace) -> ClassificationReport:
-        return _classify_from_parts(source, trace, self.eccentricity(source),
-                                    self.diameter, self.bipartite)
+        e, j, bip = self.eccentricity(source), trace.termination_round, self.bipartite
+        return ClassificationReport(source, bip, e, self.diameter, j,
+                                    _window_ok(j, e, self.diameter, bip),
+                                    BIPARTITE_EXACT if bip else NONBIPARTITE_WINDOW)
 
     def audit(self, source: int, trace: Trace) -> TraceAudit:
         return _audit_from_parts(self.g, trace, self.rows[source], self.ec(source))
-
-
-def _pair_table(n: int) -> tuple[Edge, ...]:
-    return tuple(combinations(range(n), 2))
 
 
 def _mask_connected(n: int, mask: int, pairs: tuple[Edge, ...]) -> bool:
@@ -270,13 +260,19 @@ def _mask_connected(n: int, mask: int, pairs: tuple[Edge, ...]) -> bool:
     return seen == (1 << n) - 1
 
 
-def connected_graphs(n: int):
-    """Yield every connected simple graph on the labeled vertex set 0..n-1."""
-    pairs = _pair_table(n)
-    for mask in range(1 << len(pairs)):
+def _graphs(n: int, lo: int, hi: int):
+    """Yield, in mask order, the connected graphs on 0..n-1 with edge mask in
+    [lo, hi); bit i of a mask is pair i of ``combinations(range(n), 2)``."""
+    pairs = tuple(combinations(range(n), 2))
+    for mask in range(lo, hi):
         if _mask_connected(n, mask, pairs):
             yield Graph(n=n, edges=tuple(p for i, p in enumerate(pairs)
                                          if mask >> i & 1))
+
+
+def connected_graphs(n: int):
+    """Yield every connected simple graph on the labeled vertex set 0..n-1."""
+    return _graphs(n, 0, 1 << (n * (n - 1) // 2))
 
 
 @dataclass(frozen=True)
@@ -316,69 +312,66 @@ class SweepSummary:
         }
 
 
-def _examine_graph(g: Graph):
-    """All-sources verification of one connected graph.
+@dataclass
+class _Tally:
+    """Running sweep totals. A block of masks fills one; blocks merge in
+    mask order, so the totals never depend on how the work was split."""
 
-    Returns (runs, max_j, j-e histogram, violations, bipartite_runs).
-    """
+    graphs: int = 0
+    runs: int = 0
+    bipartite_runs: int = 0
+    max_j: int = 0
+    hist: Counter[int] = field(default_factory=Counter)
+    violations: list[SweepViolation] = field(default_factory=list)
+
+    def merge(self, other: "_Tally") -> None:
+        self.graphs += other.graphs
+        self.runs += other.runs
+        self.bipartite_runs += other.bipartite_runs
+        self.max_j = max(self.max_j, other.max_j)
+        self.hist.update(other.hist)
+        self.violations.extend(other.violations)
+
+
+def _examine_graph(g: Graph, tally: _Tally) -> None:
+    """All-sources verification of one connected graph, added to ``tally``."""
     ctx = _GraphContext(g, range(g.n))
     diam, bip = ctx.diameter, ctx.bipartite
-    runs = 0
-    max_j = 0
-    hist: Counter[int] = Counter()
-    violations: list[SweepViolation] = []
-    bipartite_runs = 0
+    tally.graphs += 1
+    tally.runs += g.n
+    if bip:
+        tally.bipartite_runs += g.n
     for source in range(g.n):
-        runs += 1
-        if bip:
-            bipartite_runs += 1
         e = ctx.eccentricity(source)
         try:
             trace = _run(g, source)
         except InternalInvariantError as exc:
-            dump = exc.trace.to_json_obj() if exc.trace is not None else None
-            violations.append(SweepViolation(g.n, g.edges, source,
-                                             "engine_invariant", str(exc), dump))
-            continue
-        j = trace.termination_round
-        max_j = max(max_j, j)
-        hist[j - e] += 1
-        if j >= 2 * g.n + 1:
-            violations.append(SweepViolation(
-                g.n, g.edges, source, "termination_bound",
-                f"j={j} not below 2n+1={2 * g.n + 1}", trace.to_json_obj()))
-        if not _window_ok(j, e, diam, bip):
-            violations.append(SweepViolation(
-                g.n, g.edges, source, "termination_window",
-                f"j={j} outside window for e={e} d={diam} "
-                f"bipartite={bip}", trace.to_json_obj()))
-        for c in ctx.audit(source, trace).failures:
-            violations.append(SweepViolation(
-                g.n, g.edges, source, f"audit:{c.name}", c.detail,
-                trace.to_json_obj()))
-    return runs, max_j, hist, violations, bipartite_runs
+            trace, found = exc.trace, [("engine_invariant", str(exc))]
+        else:
+            j = trace.termination_round
+            tally.max_j = max(tally.max_j, j)
+            tally.hist[j - e] += 1
+            found = []
+            if j >= 2 * g.n + 1:
+                found.append(("termination_bound",
+                              f"j={j} not below 2n+1={2 * g.n + 1}"))
+            if not _window_ok(j, e, diam, bip):
+                found.append(("termination_window",
+                              f"j={j} outside window for e={e} d={diam} "
+                              f"bipartite={bip}"))
+            found.extend((f"audit:{c.name}", c.detail)
+                         for c in ctx.audit(source, trace).failures)
+        if found:
+            dump = trace.to_json_obj() if trace is not None else None
+            tally.violations.extend(SweepViolation(g.n, g.edges, source, check, detail,
+                                                   dump) for check, detail in found)
 
 
-def _sweep_block(args: tuple[int, int, int]):
-    n, lo, hi = args
-    pairs = _pair_table(n)
-    graphs = runs = bipartite_runs = 0
-    max_j = 0
-    hist: Counter[int] = Counter()
-    violations: list[SweepViolation] = []
-    for mask in range(lo, hi):
-        if not _mask_connected(n, mask, pairs):
-            continue
-        g = Graph(n=n, edges=tuple(p for i, p in enumerate(pairs)
-                                   if mask >> i & 1))
-        graphs += 1
-        r, mj, h, v, b = _examine_graph(g)
-        runs += r
-        max_j = max(max_j, mj)
-        hist.update(h)
-        violations.extend(v)
-        bipartite_runs += b
-    return graphs, runs, max_j, dict(hist), violations, bipartite_runs
+def _sweep_block(block: tuple[int, int, int]) -> _Tally:
+    tally = _Tally()
+    for g in _graphs(*block):
+        _examine_graph(g, tally)
+    return tally
 
 
 def sweep(n_max: int, jobs: int = 1) -> SweepSummary:
@@ -403,20 +396,12 @@ def sweep(n_max: int, jobs: int = 1) -> SweepSummary:
     else:
         parts = [_sweep_block(b) for b in blocks]
 
-    graphs = runs = bipartite_runs = 0
-    max_j = 0
-    hist: Counter[int] = Counter()
-    violations: list[SweepViolation] = []
-    for g_, r_, mj_, h_, v_, b_ in parts:
-        graphs += g_
-        runs += r_
-        max_j = max(max_j, mj_)
-        hist.update(h_)
-        violations.extend(v_)
-        bipartite_runs += b_
-    return SweepSummary(n_max, graphs, runs, max_j,
-                        dict(sorted(hist.items())), bipartite_runs,
-                        tuple(violations))
+    total = _Tally()
+    for part in parts:
+        total.merge(part)
+    return SweepSummary(n_max, total.graphs, total.runs, total.max_j,
+                        dict(sorted(total.hist.items())), total.bipartite_runs,
+                        tuple(total.violations))
 
 
 @dataclass(frozen=True)
@@ -477,17 +462,11 @@ class SharpSearchResult:
         }
 
 
-def _sharp_witness(g: Graph, source: int) -> SharpWitness:
-    trace = run_sync(g, source)
-    ctx = _GraphContext(g, (source,))
-    return SharpWitness(g, source, ctx.eccentricity(source), ctx.diameter,
-                        trace.termination_round)
-
-
 def _canonical_witnesses() -> tuple[SharpWitness, ...]:
     out = []
     for g in (gen_named("cycle", 3), gen_named("cycle", 5)):
-        w = _sharp_witness(g, 0)
+        r = classify(g, 0)
+        w = SharpWitness(g, 0, r.eccentricity, r.diameter, r.termination_round)
         if not w.is_sharp:
             raise InternalInvariantError("odd-cycle run missed the sharp bound")
         out.append(w)
@@ -517,10 +496,9 @@ def find_sharp_example(n_max: int, target: tuple[int, int] = (2, 4)) -> SharpSea
                 if j != e + diam + 1:
                     continue
                 w = SharpWitness(g, source, e, diam, j)
-                key = (e, diam)
-                cur = frontier.get(key)
+                cur = frontier.get((e, diam))
                 if cur is None or _witness_rank(w) < _witness_rank(cur):
-                    frontier[key] = w
+                    frontier[e, diam] = w
                 if e < diam and (smallest is None
                                  or _witness_rank(w) < _witness_rank(smallest)):
                     smallest = w

@@ -43,7 +43,6 @@ class Adversary:
     at the start of each run.
     """
 
-    name = "adversary"
     deterministic = False
 
     def bind(self, g: Graph) -> None:
@@ -56,7 +55,6 @@ class Adversary:
 class ZeroDelayAdversary(Adversary):
     """Delivers everything immediately, reducing the run to the synchronous one."""
 
-    name = "zero"
     deterministic = True
 
     def decide(self, config):
@@ -69,11 +67,8 @@ class HoldSecondSenderAdversary(Adversary):
     keeps a two-node exchange alive forever, so flooding never drains. On any
     other graph it makes no holds at all."""
 
-    name = "fig6"
     deterministic = True
-
-    def __init__(self):
-        self._active = False
+    _active = False
 
     def bind(self, g: Graph) -> None:
         self._active = g.n == 3 and g.m == 3
@@ -87,10 +82,8 @@ class HoldSecondSenderAdversary(Adversary):
         return AdversaryDecision()
 
 
-def fig6_adversary() -> Adversary:
-    """Scheduler that forces non-termination on a triangle by holding one of
-    each pair of messages converging on the same node."""
-    return HoldSecondSenderAdversary()
+# The adversaries the CLI offers as ``--mode async:NAME``.
+ADVERSARIES = {"zero": ZeroDelayAdversary, "fig6": HoldSecondSenderAdversary}
 
 
 @dataclass(frozen=True)
@@ -200,31 +193,32 @@ def run_async(g: Graph, source: int, adversary: Adversary,
     adversary.bind(g)
     pending = {(source, w): 0 for w in g.adj[source]}
     rounds: list[AsyncRound] = []
-    round_sets: list[frozenset[int]] = [frozenset((source,))]
+
+    def verdict(outcome: str, termination_round: int | None = None,
+                first_seen: int | None = None, period: int | None = None):
+        round_sets = (frozenset((source,)), *(rec.receipts for rec in rounds))
+        return AsyncVerdict(g.n, source, outcome, termination_round, first_seen,
+                            period, tuple(rounds), round_sets)
+
     seen: dict[AsyncConfiguration, int] = {}
     r = 0
-    cycle: tuple[int, int] | None = None
     while pending:
         r += 1
         if r > max_rounds:
-            return AsyncVerdict(g.n, source, OUTCOME_EXHAUSTED, None, None,
-                                None, tuple(rounds), tuple(round_sets))
+            return verdict(OUTCOME_EXHAUSTED)
         config = _freeze(pending)
         if adversary.deterministic:
             if config in seen:
-                cycle = (seen[config], r - seen[config])
                 break
             seen[config] = r
         pending, record = _execute_round(g, pending, config,
                                          adversary.decide(config), hold_cap)
         rounds.append(record)
-        round_sets.append(record.receipts)
+    if not pending:
+        return verdict(OUTCOME_TERMINATED, termination_round=r)
 
-    if cycle is None:
-        return AsyncVerdict(g.n, source, OUTCOME_TERMINATED, r, None, None,
-                            tuple(rounds), tuple(round_sets))
-
-    first, period = cycle
+    first = seen[config]
+    period = r - first
     # Certify: one more period must reproduce the recorded segment exactly.
     for k in range(period):
         config = _freeze(pending)
@@ -233,8 +227,6 @@ def run_async(g: Graph, source: int, adversary: Adversary,
         pending, record = _execute_round(g, pending, config,
                                          adversary.decide(config), hold_cap)
         rounds.append(record)
-        round_sets.append(record.receipts)
     if _freeze(pending) != rounds[first - 1].pool:
         raise InternalInvariantError("configuration cycle failed to close")
-    return AsyncVerdict(g.n, source, OUTCOME_CYCLE, None, first, period,
-                        tuple(rounds), tuple(round_sets))
+    return verdict(OUTCOME_CYCLE, first_seen=first, period=period)

@@ -24,11 +24,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_CYCLE = 3
 EXIT_EXHAUSTED = 4
 
-ADVERSARIES = {
-    "zero": async_engine.ZeroDelayAdversary,
-    "fig6": async_engine.HoldSecondSenderAdversary,
-}
-
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     grp = p.add_mutually_exclusive_group(required=True)
@@ -49,14 +44,13 @@ def _load_graph(args):
         return parse_edge_list(text)
     if args.named:
         kind, _, param = args.named.partition(":")
-        if param:
-            try:
-                return gen_named(kind, int(param))
-            except ValueError as exc:
-                if isinstance(exc, GraphError):
-                    raise
-                raise GraphError(f"bad parameter in {args.named!r}") from None
-        return gen_named(kind)
+        if not param:
+            return gen_named(kind)
+        try:
+            value = int(param)
+        except ValueError:
+            raise GraphError(f"bad parameter in {args.named!r}") from None
+        return gen_named(kind, value)
     parts = args.random.split(",")
     if len(parts) != 3:
         raise GraphError(f"--random wants N,P,SEED, got {args.random!r}")
@@ -74,9 +68,9 @@ def _parse_mode(mode: str) -> tuple[str, str | None, int]:
     if mode.startswith("async:"):
         rest = mode[len("async:"):]
         name, _, cap = rest.partition(",")
-        if name not in ADVERSARIES:
-            raise GraphError(f"unknown adversary {name!r} "
-                             f"(known: {', '.join(sorted(ADVERSARIES))})")
+        if name not in async_engine.ADVERSARIES:
+            known = ", ".join(sorted(async_engine.ADVERSARIES))
+            raise GraphError(f"unknown adversary {name!r} (known: {known})")
         try:
             return "async", name, int(cap) if cap else 1
         except ValueError:
@@ -114,7 +108,7 @@ def _cmd_run(args) -> int:
             return EXIT_EXHAUSTED
         _emit(args.out, trace.to_json_obj())
         return EXIT_OK
-    adversary = ADVERSARIES[adv_name]()
+    adversary = async_engine.ADVERSARIES[adv_name]()
     max_rounds = 64 if args.max_rounds is None else args.max_rounds
     verdict = async_engine.run_async(g, source, adversary,
                                      max_rounds=max_rounds, hold_cap=hold_cap)
@@ -178,13 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
-        print(f"amflood: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except async_engine.UnfairScheduleError as exc:
-        print(f"amflood: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # GraphError and UnfairScheduleError included
         print(f"amflood: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -34,14 +34,15 @@ class Trace:
 
     rounds[i] is the set of directed sends of round i+1. round_sets[i] is the
     set of nodes receiving in round i, with round_sets[0] the source alone.
-    termination_round is the index of the last non-empty round-set.
+    termination_round is the index of the last non-empty round-set, or None
+    for the partial trace of a run that did not finish.
     """
 
     n: int
     source: int
     rounds: tuple[Configuration, ...]
     round_sets: tuple[frozenset[int], ...]
-    termination_round: int
+    termination_round: int | None
 
     @property
     def total_sends(self) -> int:
@@ -88,7 +89,8 @@ def run_sync(g: Graph, source: int, max_rounds: int | None = None) -> Trace:
 
     ``max_rounds`` defaults to 2n+2, one beyond the proven termination bound,
     so a run that would exceed it surfaces as an engine bug rather than being
-    silently truncated. Running out of rounds raises RoundBudgetError with the
+    silently truncated. Running out of rounds raises RoundBudgetError, and an
+    in-flight arc that is not an edge InternalInvariantError, each with the
     partial trace. A node landing in more than two round-sets is likewise a
     hard error.
     """
@@ -110,11 +112,15 @@ def _run(g: Graph, source: int, max_rounds: int | None = None) -> Trace:
     counts[source] = 1
     while cur:
         if len(rounds) >= max_rounds:
-            partial = Trace(g.n, source, tuple(rounds), tuple(round_sets), len(rounds))
+            partial = Trace(g.n, source, tuple(rounds), tuple(round_sets), None)
             raise RoundBudgetError(
                 f"still active after {max_rounds} rounds on n={g.n}", partial)
         rounds.append(cur)
-        receivers, cur = _forward(g, cur)
+        try:
+            receivers, cur = _forward(g, cur)
+        except InternalInvariantError as exc:
+            exc.trace = Trace(g.n, source, tuple(rounds), tuple(round_sets), None)
+            raise
         round_sets.append(receivers)
         for v in receivers:
             counts[v] += 1

@@ -12,7 +12,7 @@ import time
 from amflood import cli
 from amflood.analysis import classify, find_sharp_example, sweep
 from amflood.async_engine import (OUTCOME_CYCLE, OUTCOME_TERMINATED,
-                                  ZeroDelayAdversary, fig6_adversary,
+                                  HoldSecondSenderAdversary, ZeroDelayAdversary,
                                   run_async)
 from amflood.graph import (gen_named, gen_random, is_bipartite, is_connected)
 from amflood.jsonio import dumps_stable
@@ -137,7 +137,7 @@ def test_criterion_4_sharpness_search():
 def test_criterion_5_async_non_termination_and_zero_delay():
     failures = []
     for source in range(3):
-        v = run_async(gen_named("cycle", 3), source, fig6_adversary(),
+        v = run_async(gen_named("cycle", 3), source, HoldSecondSenderAdversary(),
                       max_rounds=16)
         if v.outcome != OUTCOME_CYCLE:
             failures.append(f"triangle source {source}: outcome {v.outcome}")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -134,6 +136,11 @@ def test_sweep_n5_zero_violations():
     assert s.graphs == sum(CONNECTED_LABELED[n] for n in range(2, 6))
     assert s.runs == sum(n * CONNECTED_LABELED[n] for n in range(2, 6))
     assert s.max_termination_round < 2 * 5 + 1
+    # pinned bytes of the whole summary
+    assert s.j_minus_e_histogram == {0: 1062, 1: 1316, 2: 764, 3: 544, 4: 120}
+    assert s.max_termination_round == 7
+    digest = hashlib.sha256(dumps_stable(s.to_json_obj()).encode()).hexdigest()
+    assert digest == "32e4a09928a7168022f717b016b6e4f07ba1d04fece8b8036aeb4a54e96c928a"
 
 
 def test_sweep_bipartite_runs_equal_zero_bucket():
@@ -171,6 +178,26 @@ def test_sweep_reports_a_faulty_kernel(monkeypatch):
         assert v.trace is not None
     assert {v.check for v in s.violations} >= {"termination_window",
                                                 "audit:layer_containment"}
+
+
+def test_sweep_keeps_the_trace_of_a_non_edge_arc(monkeypatch):
+    # A kernel that sends on the non-edge (0, 0) trips the in-flight-arc check
+    # in every run; each violation must carry the partial trace up to it.
+    forward = sync_engine._forward
+
+    def looping(g, config):
+        receivers, out = forward(g, config)
+        return receivers, out | {(0, 0)}
+
+    monkeypatch.setattr(sync_engine, "_forward", looping)
+    s = sweep(3, jobs=1)
+    assert len(s.violations) == s.runs == 14
+    for v in s.violations:
+        assert v.check == "engine_invariant"
+        assert v.detail == "in-flight arc (0, 0) is not an edge"
+        assert v.trace is not None
+        assert v.trace["termination_round"] is None
+        assert [0, 0] in v.trace["rounds"][-1]
 
 
 def test_sweep_rejects_bad_n_max():

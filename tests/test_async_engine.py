@@ -8,7 +8,7 @@ from amflood.async_engine import (Adversary, AdversaryDecision,
                                   HoldSecondSenderAdversary, OUTCOME_CYCLE,
                                   OUTCOME_EXHAUSTED, OUTCOME_TERMINATED,
                                   UnfairScheduleError, ZeroDelayAdversary,
-                                  fig6_adversary, run_async)
+                                  run_async)
 from amflood.graph import gen_named, parse_edge_list
 from amflood.jsonio import dumps_stable
 from amflood.sync_engine import run_sync
@@ -43,7 +43,7 @@ def test_zero_delay_cycle6_terminates_in_three():
 
 
 def test_fig6_on_even_cycle_degenerates_to_zero_delay():
-    v = run_async(gen_named("cycle", 6), 1, fig6_adversary())
+    v = run_async(gen_named("cycle", 6), 1, HoldSecondSenderAdversary())
     assert (v.outcome, v.termination_round) == (OUTCOME_TERMINATED, 3)
     assert all(not rec.held for rec in v.rounds)
 
@@ -52,7 +52,7 @@ def test_fig6_on_even_cycle_degenerates_to_zero_delay():
 
 def test_fig6_triangle_first_rounds_match_schedule():
     b = TRIANGLE.resolve("b")
-    v = run_async(TRIANGLE, b, fig6_adversary(), max_rounds=16)
+    v = run_async(TRIANGLE, b, HoldSecondSenderAdversary(), max_rounds=16)
     r = v.rounds
     # round 1: b floods both neighbours
     assert r[0].delivered == frozenset({(1, 0, 0), (1, 2, 0)})
@@ -67,7 +67,7 @@ def test_fig6_triangle_first_rounds_match_schedule():
 
 
 def test_fig6_triangle_detects_cycle():
-    v = run_async(TRIANGLE, 1, fig6_adversary(), max_rounds=16)
+    v = run_async(TRIANGLE, 1, HoldSecondSenderAdversary(), max_rounds=16)
     assert v.outcome == OUTCOME_CYCLE
     assert v.first_seen == 3 and v.period == 4
     # independent first-repeat scan over the recorded round-start pools
@@ -83,23 +83,23 @@ def test_fig6_triangle_detects_cycle():
 
 def test_fig6_triangle_every_source_and_budget():
     for source in range(3):
-        v = run_async(gen_named("cycle", 3), source, fig6_adversary(),
+        v = run_async(gen_named("cycle", 3), source, HoldSecondSenderAdversary(),
                       max_rounds=64)
         assert v.outcome == OUTCOME_CYCLE
         first_repeat = v.first_seen + v.period
         assert first_repeat <= 16
         # cycle for every budget at or past the first repeat, never terminated
         for budget in (first_repeat, 16, 64):
-            again = run_async(gen_named("cycle", 3), source, fig6_adversary(),
+            again = run_async(gen_named("cycle", 3), source, HoldSecondSenderAdversary(),
                               max_rounds=budget)
             assert again.outcome == OUTCOME_CYCLE
-        short = run_async(gen_named("cycle", 3), source, fig6_adversary(),
+        short = run_async(gen_named("cycle", 3), source, HoldSecondSenderAdversary(),
                           max_rounds=first_repeat - 1)
         assert short.outcome == OUTCOME_EXHAUSTED
 
 
 def test_fig6_replay_segment_repeats_exactly():
-    v = run_async(TRIANGLE, 1, fig6_adversary(), max_rounds=16)
+    v = run_async(TRIANGLE, 1, HoldSecondSenderAdversary(), max_rounds=16)
     first, period = v.first_seen, v.period
     assert len(v.rounds) >= first - 1 + 2 * period
     for k in range(period):
@@ -109,7 +109,7 @@ def test_fig6_replay_segment_repeats_exactly():
 
 
 def test_small_budget_exhausts_before_cycle():
-    v = run_async(TRIANGLE, 1, fig6_adversary(), max_rounds=2)
+    v = run_async(TRIANGLE, 1, HoldSecondSenderAdversary(), max_rounds=2)
     assert v.outcome == OUTCOME_EXHAUSTED
     assert v.termination_round is None
 
@@ -212,7 +212,7 @@ def test_engine_agrees_on_scripted_path_schedules():
 # ------------------------------------------------------------------- export
 
 def test_async_json_shape():
-    v = run_async(TRIANGLE, 1, fig6_adversary(), max_rounds=16)
+    v = run_async(TRIANGLE, 1, HoldSecondSenderAdversary(), max_rounds=16)
     obj = v.to_json_obj()
     assert set(obj) == {"source", "verdict", "rounds", "round_sets"}
     assert obj["verdict"]["outcome"] == "cycle"
@@ -224,6 +224,6 @@ def test_async_json_shape():
 
 
 def test_to_sync_trace_refuses_held_runs():
-    v = run_async(TRIANGLE, 1, fig6_adversary(), max_rounds=16)
+    v = run_async(TRIANGLE, 1, HoldSecondSenderAdversary(), max_rounds=16)
     with pytest.raises(ValueError):
         v.to_sync_trace()

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from amflood import cli, sync_engine
+from amflood import async_engine, cli, sync_engine
 from amflood.analysis import connected_graphs
 from amflood.sync_engine import InternalInvariantError
 
@@ -131,6 +135,34 @@ def test_input_errors_exit_two(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize("name", sorted(async_engine.ADVERSARIES))
+def test_every_registered_adversary_runs(capsys, name):
+    code, out, _ = _run(capsys, "run", "--named", "cycle:3", "--source", "0",
+                        "--mode", f"async:{name}")
+    assert code in (cli.EXIT_OK, cli.EXIT_CYCLE)
+    assert json.loads(out)["verdict"]["outcome"] in ("terminated", "cycle")
+
+
+def test_unknown_adversary_lists_the_registry(capsys):
+    code, _, err = _run(capsys, "run", "--named", "cycle:3", "--source", "0",
+                        "--mode", "async:nope")
+    assert code == cli.EXIT_INPUT_ERROR
+    known = err.strip().rpartition("(known: ")[2].removesuffix(")")
+    assert known.split(", ") == sorted(async_engine.ADVERSARIES)
+
+
+def test_package_import_reaches_the_modules(tmp_path):
+    # A fresh interpreter that only imports the package must reach each module.
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import amflood as am; print(am.analysis.sweep.__name__, "
+             "am.graph.parse_edge_list.__name__, am.sync_engine.run_sync.__name__, "
+             "am.async_engine.run_async.__name__)")
+    res = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.split() == ["sweep", "parse_edge_list", "run_sync", "run_async"]
+
+
 def test_disconnected_graph_exits_two(tmp_path, capsys):
     f = tmp_path / "two_parts.edges"
     f.write_text("0 1\n2 3\n")
@@ -152,6 +184,7 @@ def test_sync_user_budget_exhausted_exits_four_with_partial_trace(capsys):
     obj = json.loads(out)
     assert obj["rounds"] == [[[0, 1], [0, 4]]]
     assert obj["round_sets"] == [[0], [1, 4]]
+    assert obj["termination_round"] is None
 
 
 def test_sync_budget_that_suffices_exits_zero(capsys):

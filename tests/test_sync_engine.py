@@ -99,6 +99,7 @@ def test_run_sync_budget_error_carries_the_rounds_run():
     assert len(exc.value.trace.rounds) == 2
     assert exc.value.trace.round_sets == (frozenset({0}), frozenset({1, 4}),
                                           frozenset({2, 3}))
+    assert exc.value.trace.termination_round is None
 
 
 def test_receipt_multiplicity_guard_fires(monkeypatch):
@@ -122,6 +123,7 @@ def test_receipt_multiplicity_guard_fires(monkeypatch):
     assert not isinstance(exc.value, RoundBudgetError)
     assert exc.value.trace.round_sets == (frozenset({0}), frozenset({1}), frozenset({0}),
                                           frozenset({1}), frozenset({0}))
+    assert exc.value.trace.termination_round == 4  # the full trace of a finished run
 
 
 def test_single_node_graph_terminates_immediately():
