@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Search small graphs for runs attaining the worst-case termination round
-e + d + 1 and print the witnesses as JSON."""
+e + d + 1 and print the witnesses as JSON.
+
+Exit code 1 when the target witness is not found, 2 on a bad argument.
+"""
 
 from __future__ import annotations
 
@@ -19,8 +22,12 @@ def main() -> int:
     ap.add_argument("--diameter", type=int, default=4, help="target diameter")
     args = ap.parse_args()
 
-    result = find_sharp_example(args.n_max,
-                                target=(args.eccentricity, args.diameter))
+    try:
+        result = find_sharp_example(args.n_max,
+                                    target=(args.eccentricity, args.diameter))
+    except ValueError as exc:
+        print(f"{ap.prog}: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(dumps_stable(result.to_json_obj()))
     return 0 if result.target is not None else 1
 

@@ -2,7 +2,7 @@
 """Exhaustively verify every small connected graph and write the summary JSON.
 
 Exit code 1 when any violation is recorded (each violation carries the
-counterexample graph, source, and trace).
+counterexample graph, source, and trace), 2 on a bad argument.
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    summary = sweep(args.n_max, jobs=args.jobs)
+    try:
+        summary = sweep(args.n_max, jobs=args.jobs)
+    except ValueError as exc:
+        print(f"{ap.prog}: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - t0
     text = dumps_stable(summary.to_json_obj())
     if args.out:

@@ -385,6 +385,8 @@ def sweep(n_max: int, jobs: int = 1) -> SweepSummary:
     """
     if not 2 <= n_max <= 7:
         raise ValueError(f"n_max must be between 2 and 7, got {n_max}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     blocks = []
     for n in range(2, n_max + 1):
         total = 1 << (n * (n - 1) // 2)

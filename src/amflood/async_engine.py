@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import DisconnectedGraphError, Graph, is_connected
-from .sync_engine import InternalInvariantError, Trace, _forward
+from .sync_engine import InternalInvariantError, Trace, _acyclic, _forward
 
 Message = tuple[int, int, int]  # (sender, receiver, rounds already held)
 AsyncConfiguration = frozenset[Message]
@@ -117,6 +117,7 @@ class AsyncVerdict:
     rounds: tuple[AsyncRound, ...]
     round_sets: tuple[frozenset[int], ...]
 
+    @_acyclic
     def to_json_obj(self) -> dict:
         return {
             "source": self.source,

@@ -8,12 +8,36 @@ configuration is absorbing.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass
 
 from .graph import DisconnectedGraphError, Graph, is_connected
 
 Arc = tuple[int, int]
 Configuration = frozenset[Arc]
+
+
+def _acyclic(fn):
+    """Run ``fn`` with the cyclic garbage collector paused, then restore it.
+
+    The wrapped builders create up to millions of small containers that form
+    no reference cycles, and each full collection they would trigger rescans
+    the whole live heap to free nothing. Reference counting still frees
+    everything they drop, so pausing loses no memory. A collector the caller
+    has already disabled is left disabled. Not for code where another thread
+    toggles ``gc``: the pause is process-wide.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return wrapper
 
 
 class InternalInvariantError(RuntimeError):
@@ -48,6 +72,7 @@ class Trace:
     def total_sends(self) -> int:
         return sum(len(c) for c in self.rounds)
 
+    @_acyclic
     def to_json_obj(self) -> dict:
         return {
             "source": self.source,
@@ -84,6 +109,7 @@ def step(g: Graph, config: Configuration) -> Configuration:
     return _forward(g, config)[1]
 
 
+@_acyclic
 def run_sync(g: Graph, source: int, max_rounds: int | None = None) -> Trace:
     """Flood from ``source`` until no message is in flight.
 

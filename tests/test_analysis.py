@@ -205,6 +205,8 @@ def test_sweep_rejects_bad_n_max():
         sweep(1)
     with pytest.raises(ValueError):
         sweep(8)
+    with pytest.raises(ValueError, match="jobs"):
+        sweep(3, jobs=0)
 
 
 # ---------------------------------------------------------------- sharpness

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import gc
 from itertools import combinations
 
 import pytest
 
-from amflood.async_engine import (Adversary, AdversaryDecision,
+from amflood.async_engine import (Adversary, AdversaryDecision, AsyncRound,
                                   HoldSecondSenderAdversary, OUTCOME_CYCLE,
                                   OUTCOME_EXHAUSTED, OUTCOME_TERMINATED,
                                   UnfairScheduleError, ZeroDelayAdversary,
@@ -227,3 +228,38 @@ def test_to_sync_trace_refuses_held_runs():
     v = run_async(TRIANGLE, 1, HoldSecondSenderAdversary(), max_rounds=16)
     with pytest.raises(ValueError):
         v.to_sync_trace()
+
+
+def test_verdict_json_pauses_the_collector(monkeypatch):
+    round_json = AsyncRound.to_json_obj
+    seen = []
+
+    def recording(self):
+        seen.append(gc.isenabled())
+        return round_json(self)
+
+    verdict = run_async(TRIANGLE, 0, HoldSecondSenderAdversary())
+    monkeypatch.setattr(AsyncRound, "to_json_obj", recording)
+    assert gc.isenabled()
+    verdict.to_json_obj()
+    assert len(seen) == len(verdict.rounds) and set(seen) == {False}
+    assert gc.isenabled()
+
+
+def test_traces_verdicts_and_json_make_no_cycles():
+    # Why the builders may pause the collector: what they drop, reference
+    # counting frees, so a collection afterwards finds nothing.
+    graphs = [gen_named("petersen"), gen_named("cycle", 5), gen_named("hypercube", 4)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            trace = run_sync(g, 0)
+            dumps_stable(trace.to_json_obj())
+        verdict = run_async(TRIANGLE, 0, HoldSecondSenderAdversary())
+        assert verdict.outcome == OUTCOME_CYCLE
+        dumps_stable(verdict.to_json_obj())
+        del trace, verdict
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

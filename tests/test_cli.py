@@ -163,6 +163,22 @@ def test_package_import_reaches_the_modules(tmp_path):
     assert res.stdout.split() == ["sweep", "parse_edge_list", "run_sync", "run_async"]
 
 
+@pytest.mark.parametrize("script, args", [
+    ("run_sweep.py", ["--n-max", "8"]),
+    ("run_sweep.py", ["--n-max", "3", "--jobs", "-3"]),
+    ("find_sharp_witness.py", ["--n-max", "9"]),
+])
+def test_scripts_exit_two_on_bad_arguments(script, args):
+    root = Path(cli.__file__).resolve().parents[2]
+    res = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+                         env={**os.environ, "PYTHONPATH": str(root / "src")},
+                         capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"{script}: ")
+    assert len(res.stderr.strip().splitlines()) == 1
+
+
 def test_disconnected_graph_exits_two(tmp_path, capsys):
     f = tmp_path / "two_parts.edges"
     f.write_text("0 1\n2 3\n")

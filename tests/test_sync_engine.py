@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 
 from amflood import sync_engine
 from amflood.graph import Graph, GraphError, DisconnectedGraphError, gen_named, parse_edge_list
-from amflood.sync_engine import (InternalInvariantError, RoundBudgetError,
+from amflood.sync_engine import (InternalInvariantError, RoundBudgetError, Trace,
                                  round_multiplicity, run_sync, step)
 
 from conftest import connected_graph
@@ -124,6 +126,52 @@ def test_receipt_multiplicity_guard_fires(monkeypatch):
     assert exc.value.trace.round_sets == (frozenset({0}), frozenset({1}), frozenset({0}),
                                           frozenset({1}), frozenset({0}))
     assert exc.value.trace.termination_round == 4  # the full trace of a finished run
+
+
+def test_run_sync_pauses_the_collector(monkeypatch):
+    forward = sync_engine._forward
+    seen = []
+
+    def recording(g, config):
+        seen.append(gc.isenabled())
+        return forward(g, config)
+
+    monkeypatch.setattr(sync_engine, "_forward", recording)
+    assert gc.isenabled()
+    run_sync(gen_named("petersen"), 0)
+    assert len(seen) == 5 and set(seen) == {False}
+    assert gc.isenabled()
+
+
+def test_trace_json_pauses_the_collector():
+    seen = []
+
+    class Probe(frozenset):
+        def __iter__(self):
+            seen.append(gc.isenabled())
+            return super().__iter__()
+
+    trace = Trace(2, 0, (Probe({(0, 1)}),), (Probe({0}), Probe({1})), 1)
+    assert trace.to_json_obj()["round_sets"] == [[0], [1]]
+    assert seen == [False, False, False]
+    assert gc.isenabled()
+
+
+def test_collector_is_restored_after_a_budget_error():
+    with pytest.raises(RoundBudgetError):
+        run_sync(gen_named("cycle", 5), 0, max_rounds=1)
+    assert gc.isenabled()
+
+
+def test_collector_disabled_by_the_caller_stays_disabled():
+    gc.disable()
+    try:
+        trace = run_sync(gen_named("cycle", 5), 0)
+        assert not gc.isenabled()
+        trace.to_json_obj()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_single_node_graph_terminates_immediately():
