@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DisconnectedGraphError, Graph, is_connected
-from .sync_engine import InternalInvariantError, Trace, _acyclic, _forward
+from .graph import Graph
+from .sync_engine import (Arc, InternalInvariantError, Trace, _acyclic,
+                          _check_floodable, _forward)
 
 Message = tuple[int, int, int]  # (sender, receiver, rounds already held)
 AsyncConfiguration = frozenset[Message]
@@ -27,20 +28,14 @@ class UnfairScheduleError(ValueError):
     """The adversary tried to hold a message past the fairness cap."""
 
 
-@dataclass(frozen=True)
-class AdversaryDecision:
-    """Arcs (sender, receiver) to hold this round; everything else arrives."""
-
-    hold: frozenset[tuple[int, int]] = frozenset()
-
-
 class Adversary:
     """Per-round delivery scheduler.
 
-    decide() sees the round-start configuration alone. ``deterministic``
-    declares it to be a pure function of that configuration; only then can a
-    repeated configuration certify non-termination. ``bind`` is called once
-    at the start of each run.
+    decide() sees the round-start configuration alone and returns the arcs
+    (sender, receiver) to hold this round; every other message arrives.
+    ``deterministic`` declares it to be a pure function of that configuration;
+    only then can a repeated configuration certify non-termination. ``bind``
+    is called once at the start of each run.
     """
 
     deterministic = False
@@ -48,7 +43,7 @@ class Adversary:
     def bind(self, g: Graph) -> None:
         pass
 
-    def decide(self, config: AsyncConfiguration) -> AdversaryDecision:
+    def decide(self, config: AsyncConfiguration) -> frozenset[Arc]:
         raise NotImplementedError
 
 
@@ -58,7 +53,7 @@ class ZeroDelayAdversary(Adversary):
     deterministic = True
 
     def decide(self, config):
-        return AdversaryDecision()
+        return frozenset()
 
 
 class HoldSecondSenderAdversary(Adversary):
@@ -75,11 +70,11 @@ class HoldSecondSenderAdversary(Adversary):
 
     def decide(self, config):
         if not self._active or len(config) != 2:
-            return AdversaryDecision()
+            return frozenset()
         (u1, v1, _a1), (u2, v2, a2) = sorted(config)
         if v1 == v2 and u1 != u2 and a2 == 0:
-            return AdversaryDecision(hold=frozenset(((u2, v2),)))
-        return AdversaryDecision()
+            return frozenset(((u2, v2),))
+        return frozenset()
 
 
 # The adversaries the CLI offers as ``--mode async:NAME``.
@@ -143,56 +138,52 @@ class AsyncVerdict:
                      self.termination_round)
 
 
-def _freeze(pending: dict[tuple[int, int], int]) -> AsyncConfiguration:
-    return frozenset((u, v, age) for (u, v), age in pending.items())
-
-
-def _execute_round(g: Graph, pending: dict[tuple[int, int], int],
-                   pool: AsyncConfiguration, decision: AdversaryDecision,
-                   hold_cap: int) -> tuple[dict[tuple[int, int], int], AsyncRound]:
-    """Resolve one round; ``pool`` is ``_freeze(pending)``."""
-    hold = decision.hold
-    for arc in hold:
-        if arc not in pending:
-            raise UnfairScheduleError(f"adversary held {arc} which is not in flight")
-        if pending[arc] >= hold_cap:
-            raise UnfairScheduleError(
-                f"message on {arc} held past the {hold_cap}-round cap")
+def _execute_round(g: Graph, pool: AsyncConfiguration, hold: frozenset[Arc],
+                   hold_cap: int) -> tuple[AsyncConfiguration, AsyncRound]:
+    """Resolve one round from the round-start ``pool``, holding the messages
+    on the arcs in ``hold`` and delivering the rest. Pure: returns the next
+    round-start pool and the round's record."""
     if hold:
-        delivered = frozenset(m for m in pool if (m[0], m[1]) not in hold)
-        held = frozenset(m for m in pool if (m[0], m[1]) in hold)
+        ages = {(u, v): age for u, v, age in pool}
+        for arc in hold:
+            if arc not in ages:
+                raise UnfairScheduleError(f"adversary held {arc} which is not in flight")
+            if ages[arc] >= hold_cap:
+                raise UnfairScheduleError(
+                    f"message on {arc} held past the {hold_cap}-round cap")
+        held = frozenset([(u, v, ages[u, v]) for u, v in hold])
+        delivered = pool - held
     else:
         delivered, held = pool, frozenset()
     receipts, sends = _forward(g, ((u, v) for u, v, _age in delivered))
-    nxt = {arc: pending[arc] + 1 for arc in hold}
-    for arc in sends:
-        # a fresh send on an arc that already carries a held copy collapses
-        # into it; the token is a single indistinguishable M
-        nxt.setdefault(arc, 0)
+    # a fresh send on an arc that already carries a held copy collapses into
+    # it; the token is a single indistinguishable M
+    nxt = frozenset([(u, v, age + 1) for u, v, age in held]
+                    + [(u, v, 0) for u, v in sends if (u, v) not in hold])
     return nxt, AsyncRound(pool=pool, delivered=delivered, held=held, receipts=receipts)
 
 
 def run_async(g: Graph, source: int, adversary: Adversary,
-              max_rounds: int = 64, hold_cap: int = 1) -> AsyncVerdict:
+              max_rounds: int | None = None, hold_cap: int = 1) -> AsyncVerdict:
     """Drive flooding with ``adversary`` choosing per-message delays.
 
-    Terminates when nothing is in flight. For a scheduler declared
-    deterministic, an exact repeat of a round-start configuration yields a
-    cycle verdict, certified by replaying one full period and requiring the
-    recorded segment to repeat exactly (the replayed rounds stay in the
-    record). Otherwise the round budget runs out and the verdict is
-    exhaustion.
+    ``max_rounds`` defaults to 64. Terminates when nothing is in flight. For a
+    scheduler declared deterministic, an exact repeat of a round-start
+    configuration yields a cycle verdict, certified by replaying one full
+    period and requiring the recorded segment to repeat exactly (the replayed
+    rounds stay in the record). Otherwise the round budget runs out and the
+    verdict is exhaustion.
     """
-    g.check_node(source)
-    if not is_connected(g):
-        raise DisconnectedGraphError("flooding needs a connected graph")
+    _check_floodable(g, source)
+    if max_rounds is None:
+        max_rounds = 64
     if hold_cap < 1:
         raise ValueError(f"hold_cap must be >= 1, got {hold_cap}")
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
 
     adversary.bind(g)
-    pending = {(source, w): 0 for w in g.adj[source]}
+    pool: AsyncConfiguration = frozenset((source, w, 0) for w in g.adj[source])
     rounds: list[AsyncRound] = []
 
     def verdict(outcome: str, termination_round: int | None = None,
@@ -203,31 +194,27 @@ def run_async(g: Graph, source: int, adversary: Adversary,
 
     seen: dict[AsyncConfiguration, int] = {}
     r = 0
-    while pending:
+    while pool:
         r += 1
         if r > max_rounds:
             return verdict(OUTCOME_EXHAUSTED)
-        config = _freeze(pending)
         if adversary.deterministic:
-            if config in seen:
+            if pool in seen:
                 break
-            seen[config] = r
-        pending, record = _execute_round(g, pending, config,
-                                         adversary.decide(config), hold_cap)
+            seen[pool] = r
+        pool, record = _execute_round(g, pool, adversary.decide(pool), hold_cap)
         rounds.append(record)
-    if not pending:
+    if not pool:
         return verdict(OUTCOME_TERMINATED, termination_round=r)
 
-    first = seen[config]
+    first = seen[pool]
     period = r - first
     # Certify: one more period must reproduce the recorded segment exactly.
     for k in range(period):
-        config = _freeze(pending)
-        if config != rounds[first - 1 + k].pool:
+        if pool != rounds[first - 1 + k].pool:
             raise InternalInvariantError("configuration cycle failed to replay")
-        pending, record = _execute_round(g, pending, config,
-                                         adversary.decide(config), hold_cap)
+        pool, record = _execute_round(g, pool, adversary.decide(pool), hold_cap)
         rounds.append(record)
-    if _freeze(pending) != rounds[first - 1].pool:
+    if pool != rounds[first - 1].pool:
         raise InternalInvariantError("configuration cycle failed to close")
     return verdict(OUTCOME_CYCLE, first_seen=first, period=period)

@@ -109,9 +109,8 @@ def _cmd_run(args) -> int:
         _emit(args.out, trace.to_json_obj())
         return EXIT_OK
     adversary = async_engine.ADVERSARIES[adv_name]()
-    max_rounds = 64 if args.max_rounds is None else args.max_rounds
     verdict = async_engine.run_async(g, source, adversary,
-                                     max_rounds=max_rounds, hold_cap=hold_cap)
+                                     max_rounds=args.max_rounds, hold_cap=hold_cap)
     _emit(args.out, verdict.to_json_obj())
     return {
         async_engine.OUTCOME_TERMINATED: EXIT_OK,

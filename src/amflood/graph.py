@@ -15,6 +15,14 @@ Edge = tuple[int, int]
 
 _MASK64 = (1 << 64) - 1
 
+# The largest inputs accepted. Each is checked from the parameters alone,
+# before anything is built, so an oversized request fails at once instead of
+# allocating until memory runs out. gen_random makes one draw per node pair,
+# so its limit caps n at 4,472.
+MAX_NODES = 10**6
+MAX_EDGES = 10**7
+MAX_RANDOM_DRAWS = 10**7
+
 
 class GraphError(ValueError):
     """Invalid graph input: construction, parsing, or generator parameters."""
@@ -42,6 +50,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise GraphError(f"need at least one node, got n={self.n}")
+        _check_size("graph", self.n, len(self.edges))
         if self.labels is not None and len(self.labels) != self.n:
             raise GraphError("labels must cover every node id")
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
@@ -92,6 +101,13 @@ class Graph:
             raise GraphError(f"unknown node {token!r}") from None
         self.check_node(v)
         return v
+
+
+def _check_size(what: str, n: int, m: int) -> None:
+    if n > MAX_NODES:
+        raise GraphError(f"{what} has {n} nodes, over the limit of {MAX_NODES}")
+    if m > MAX_EDGES:
+        raise GraphError(f"{what} has {m} edges, over the limit of {MAX_EDGES}")
 
 
 def _bfs(g: Graph, source: int) -> list[int]:
@@ -225,10 +241,10 @@ def parse_edge_list(text: str) -> Graph:
     """Parse "u v" lines into a Graph.
 
     Lines starting with '#' and blank lines are skipped. Numeric endpoint
-    tokens are taken as literal node ids (n = max id + 1), which keeps
-    render/parse round trips id-stable. If any endpoint is a bare word the
-    whole file switches to label mode and ids are assigned in order of first
-    appearance, with the labels retained.
+    tokens are taken as literal node ids (n = max id + 1, at most
+    MAX_NODES), which keeps render/parse round trips id-stable. If any
+    endpoint is a bare word the whole file switches to label mode and ids are
+    assigned in order of first appearance, with the labels retained.
     """
     rows: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -273,7 +289,9 @@ def render_edge_list(g: Graph) -> str:
 
 
 def gen_named(kind: str, param: int | None = None) -> Graph:
-    """Build a named graph: hypercube:k, petersen, cycle:n, path:n, complete:n."""
+    """Build a named graph: hypercube:k, petersen, cycle:n, path:n, complete:n.
+
+    Sizes past MAX_NODES or MAX_EDGES are rejected before any edge is made."""
     if kind == "petersen":
         if param is not None:
             raise GraphError("petersen takes no parameter")
@@ -286,6 +304,9 @@ def gen_named(kind: str, param: int | None = None) -> Graph:
     if kind == "hypercube":
         if param < 1:
             raise GraphError("hypercube needs k >= 1")
+        if param >= MAX_NODES.bit_length():
+            raise GraphError(f"hypercube:{param} has 2^{param} nodes, "
+                             f"over the limit of {MAX_NODES}")
         n = 1 << param
         return Graph.from_edges(
             n, ((v, v | (1 << b)) for v in range(n) for b in range(param)
@@ -293,14 +314,17 @@ def gen_named(kind: str, param: int | None = None) -> Graph:
     if kind == "cycle":
         if param < 3:
             raise GraphError("cycle needs n >= 3")
+        _check_size(f"cycle:{param}", param, param)
         return Graph.from_edges(param, ((i, (i + 1) % param) for i in range(param)))
     if kind == "path":
         if param < 2:
             raise GraphError("path needs n >= 2")
+        _check_size(f"path:{param}", param, param - 1)
         return Graph.from_edges(param, ((i, i + 1) for i in range(param - 1)))
     if kind == "complete":
         if param < 2:
             raise GraphError("complete needs n >= 2")
+        _check_size(f"complete:{param}", param, param * (param - 1) // 2)
         return Graph.from_edges(param, combinations(range(param), 2))
     raise GraphError(f"unknown named graph {kind!r}")
 
@@ -319,12 +343,17 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
 
     The stream state starts at ``seed`` (masked to 64 bits) and yields one
     draw per unordered pair in lexicographic order, so a given (n, p, seed)
-    reproduces the same graph bit for bit on every platform.
+    reproduces the same graph bit for bit on every platform. More than
+    MAX_RANDOM_DRAWS draws (n > 4,472) are rejected before the first.
     """
     if n < 1:
         raise GraphError(f"need n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"need 0 <= p <= 1, got {p}")
+    draws = n * (n - 1) // 2
+    if draws > MAX_RANDOM_DRAWS:
+        raise GraphError(f"G({n}, p) takes {draws} pair draws, "
+                         f"over the limit of {MAX_RANDOM_DRAWS}")
     threshold = int(p * float(1 << 64))
     state = seed & _MASK64
     edges = []

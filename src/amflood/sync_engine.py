@@ -120,10 +120,16 @@ def run_sync(g: Graph, source: int, max_rounds: int | None = None) -> Trace:
     partial trace. A node landing in more than two round-sets is likewise a
     hard error.
     """
+    _check_floodable(g, source)
+    return _run(g, source, max_rounds)
+
+
+def _check_floodable(g: Graph, source: int) -> None:
+    """The precondition both engines check first: ``source`` is a node of a
+    connected ``g``."""
     g.check_node(source)
     if not is_connected(g):
         raise DisconnectedGraphError("flooding needs a connected graph")
-    return _run(g, source, max_rounds)
 
 
 def _run(g: Graph, source: int, max_rounds: int | None = None) -> Trace:

@@ -4,8 +4,10 @@ import gc
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amflood.async_engine import (Adversary, AdversaryDecision, AsyncRound,
+from amflood.async_engine import (Adversary, AsyncRound,
                                   HoldSecondSenderAdversary, OUTCOME_CYCLE,
                                   OUTCOME_EXHAUSTED, OUTCOME_TERMINATED,
                                   UnfairScheduleError, ZeroDelayAdversary,
@@ -13,6 +15,8 @@ from amflood.async_engine import (Adversary, AdversaryDecision, AsyncRound,
 from amflood.graph import gen_named, parse_edge_list
 from amflood.jsonio import dumps_stable
 from amflood.sync_engine import run_sync
+
+from conftest import connected_graph
 
 TRIANGLE = parse_edge_list("a b\nb c\nc a")  # a=0, b=1, c=2
 
@@ -124,8 +128,8 @@ class _Stubborn(Adversary):
         # keep holding the lexicographically largest message forever
         if config:
             u, v, _ = max(config)
-            return AdversaryDecision(hold=frozenset(((u, v),)))
-        return AdversaryDecision()
+            return frozenset(((u, v),))
+        return frozenset()
 
 
 def test_holding_past_cap_is_rejected():
@@ -136,13 +140,29 @@ def test_holding_past_cap_is_rejected():
 def test_holding_unknown_arc_is_rejected():
     class Bad(Adversary):
         def decide(self, config):
-            return AdversaryDecision(hold=frozenset(((7, 8),)))
+            return frozenset(((7, 8),))
 
     with pytest.raises(UnfairScheduleError):
         run_async(TRIANGLE, 1, Bad())
 
 
 # --------------------------------------------- every schedule ends on a tree
+
+def _step(g, state, held):
+    """Independent one-round transition: every message of ``state`` except the
+    ``held`` ones arrives. Returns the receiving nodes and the next state."""
+    heldset = set(held)
+    inbox: dict[int, set[int]] = {}
+    for (u, v, a) in state:
+        if (u, v, a) not in heldset:
+            inbox.setdefault(v, set()).add(u)
+    nxt = {(u, v): a + 1 for (u, v, a) in heldset}
+    for v, senders in inbox.items():
+        for w in g.adj[v]:
+            if w not in senders:
+                nxt.setdefault((v, w), 0)
+    return frozenset(inbox), frozenset((u, v, a) for (u, v), a in nxt.items())
+
 
 def _explore_all_schedules(g, source, hold_cap=1):
     """Independent exhaustion of every delay choice.
@@ -165,17 +185,7 @@ def _explore_all_schedules(g, source, hold_cap=1):
         holdable = [m for m in state if m[2] < hold_cap]
         for k in range(len(holdable) + 1):
             for held in combinations(holdable, k):
-                heldset = set(held)
-                inbox: dict[int, set[int]] = {}
-                for (u, v, a) in state:
-                    if (u, v, a) not in heldset:
-                        inbox.setdefault(v, set()).add(u)
-                nxt = {(u, v): a + 1 for (u, v, a) in heldset}
-                for v, senders in inbox.items():
-                    for w in g.adj[v]:
-                        if w not in senders:
-                            nxt.setdefault((v, w), 0)
-                if not explore(frozenset((u, v, a) for (u, v), a in nxt.items())):
+                if not explore(_step(g, state, held)[1]):
                     return False
         status[state] = "done"
         return True
@@ -193,6 +203,35 @@ def test_some_schedule_recurs_on_triangle():
     assert not _explore_all_schedules(TRIANGLE, 1)
 
 
+class _DrawnHolds(Adversary):
+    """Holds a subset, drawn afresh each round, of the messages that may
+    still wait."""
+
+    def __init__(self, data, hold_cap):
+        self.data, self.hold_cap = data, hold_cap
+
+    def decide(self, config):
+        holdable = sorted(m for m in config if m[2] < self.hold_cap)
+        keep = self.data.draw(st.lists(st.booleans(), min_size=len(holdable),
+                                       max_size=len(holdable)))
+        return frozenset((u, v) for (u, v, _), k in zip(holdable, keep) if k)
+
+
+@settings(max_examples=120, deadline=None)
+@given(connected_graph(), st.integers(1, 2), st.data())
+def test_every_recorded_round_is_one_step(g, hold_cap, data):
+    source = data.draw(st.integers(0, g.n - 1))
+    v = run_async(g, source, _DrawnHolds(data, hold_cap), max_rounds=10,
+                  hold_cap=hold_cap)
+    state = frozenset((source, w, 0) for w in g.adj[source])
+    for rec in v.rounds:
+        assert rec.pool == state
+        assert rec.held <= state and rec.delivered == state - rec.held
+        receipts, state = _step(g, state, rec.held)
+        assert rec.receipts == receipts
+    assert (v.outcome == OUTCOME_TERMINATED) == (not state)
+
+
 def test_engine_agrees_on_scripted_path_schedules():
     g = gen_named("path", 4)
 
@@ -203,8 +242,8 @@ def test_engine_agrees_on_scripted_path_schedules():
             fresh = [m for m in config if m[2] == 0]
             if fresh and len(config) > 1:
                 u, v, _ = max(fresh)
-                return AdversaryDecision(hold=frozenset(((u, v),)))
-            return AdversaryDecision()
+                return frozenset(((u, v),))
+            return frozenset()
 
     v = run_async(g, 1, HoldMax(), max_rounds=64)
     assert v.outcome == OUTCOME_TERMINATED

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -187,6 +189,33 @@ def test_disconnected_graph_exits_two(tmp_path, capsys):
     assert "connected" in err
 
 
+@pytest.mark.parametrize("graph_args", [
+    ("--named", "hypercube:20"),
+    ("--named", "hypercube:1000000000"),
+    ("--named", "complete:4473"),
+    ("--named", "cycle:1000001"),
+    ("--named", "path:1000001"),
+    ("--random", "4473,0.5,1"),
+    ("--random", "1000000000,0.000001,1"),
+    ("--graph", None),
+])
+def test_oversized_input_exits_two_before_it_allocates(tmp_path, capsys, graph_args):
+    flag, value = graph_args
+    if flag == "--graph":
+        value = tmp_path / "huge_id.edges"
+        value.write_text("0 1\n0 4000000000\n")
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "run", flag, str(value), "--source", "0")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "over the limit" in err
+    assert peak < 1 << 20
+
+
 def test_reruns_are_byte_identical(capsys):
     _, a, _ = _run(capsys, "run", "--named", "petersen", "--source", "3")
     _, b, _ = _run(capsys, "run", "--named", "petersen", "--source", "3")
@@ -237,3 +266,35 @@ def test_default_guard_breach_stays_internal_error(capsys, monkeypatch):
     with pytest.raises(InternalInvariantError, match="still active after 12 rounds"):
         cli.main(["run", "--named", "cycle:5", "--source", "0"])
     assert capsys.readouterr().out == ""
+
+
+# sha256 of each run's stdout followed by "\nexit=<code>", recorded before the
+# asynchronous engine was reduced to one frozen state; any change to the
+# engine must leave every digest as it is.
+ASYNC_DIGESTS = [
+    (("cycle:3", "0", "async:fig6"),
+     "044beff3e3fe6ee32d528ac12e547d05a791d89e19c6328c38acb9b3bc8f3c43"),
+    (("cycle:3", "0", "async:fig6", "--max-rounds", "3"),
+     "60d073123c5f105a8ad5aeaff1bb1520e6ab60b8b2bcbe84eb53ebaf9d476dbc"),
+    (("cycle:3", "1", "async:fig6"),
+     "fbb8ea16ba6b111502632107b26b208527e9513d1e90de59c0caa5c80f9e7eb6"),
+    (("cycle:3", "1", "async:fig6", "--max-rounds", "3"),
+     "0bd5049e34c027051cfb20da3d6be31ccdf14be733f2bffa4f127b6653b1ae33"),
+    (("cycle:3", "2", "async:fig6"),
+     "c4b7cd9c87ad814e262dbbac8a3cd2c768ad4718103e76e37fbcf30263024bbc"),
+    (("cycle:3", "2", "async:fig6", "--max-rounds", "3"),
+     "c0949356dfd2d3bcc0af1a3da9a9182c09c9f6f9963d4a8736f9a73851fa85b9"),
+    (("hypercube:4", "0", "async:fig6,2"),
+     "8a5c7ff8c5483209bbc407606276e21a7fe37f6392e1f769edc270d3b2c5eca7"),
+    (("petersen", "0", "async:zero"),
+     "0c28633510d2cf1eb0d2c3621b0d22d6a15ff48e8c52407640a1167c06f08537"),
+]
+
+
+@pytest.mark.parametrize("case, digest", ASYNC_DIGESTS)
+def test_async_runs_keep_their_bytes(capsys, case, digest):
+    named, source, mode, *budget = case
+    code, out, _ = _run(capsys, "run", "--named", named, "--source", source,
+                        "--mode", mode, *budget)
+    got = hashlib.sha256(out.encode() + b"\nexit=%d" % code).hexdigest()
+    assert got == digest

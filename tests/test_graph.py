@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from amflood.graph import (DisconnectedGraphError, Graph, GraphError, diameter,
+from amflood.graph import (MAX_EDGES, MAX_NODES, DisconnectedGraphError, Graph,
+                           GraphError, diameter,
                            distance_profile, ec_nodes, gen_named, gen_random,
                            is_bipartite, is_connected, parse_edge_list,
                            render_edge_list)
@@ -100,6 +101,40 @@ def test_cycle6():
 def test_generator_minimums(kind, param):
     with pytest.raises(GraphError):
         gen_named(kind, param)
+
+
+@pytest.mark.parametrize("kind,param,match", [
+    ("hypercube", 20, r"2\^20 nodes"), ("hypercube", 10**9, r"2\^1000000000 nodes"),
+    ("cycle", 10**6 + 1, "1000001 nodes"), ("path", 10**6 + 1, "1000001 nodes"),
+    ("complete", 4473, "10001628 edges"), ("complete", 10**6, "edges"),
+])
+def test_generator_rejects_sizes_over_the_limits(kind, param, match):
+    with pytest.raises(GraphError, match=match):
+        gen_named(kind, param)
+
+
+def test_size_limits_are_checked_before_anything_is_built():
+    with pytest.raises(GraphError, match="10001628 pair draws"):
+        gen_random(4473, 0.5, 1)
+    with pytest.raises(GraphError, match="4000000001 nodes"):
+        parse_edge_list("0 1\n0 4000000000\n")
+    with pytest.raises(GraphError, match="1000001 nodes"):
+        Graph(n=MAX_NODES + 1, edges=())
+    with pytest.raises(GraphError, match="10000001 edges"):
+        Graph(n=2, edges=_Unbuilt(MAX_EDGES + 1))
+
+
+class _Unbuilt:
+    """An edge sequence that only knows its length."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def __len__(self):
+        return self.m
+
+    def __iter__(self):
+        raise AssertionError("edges read before the size check")
 
 
 def test_unknown_kind():
