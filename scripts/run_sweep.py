@@ -2,7 +2,8 @@
 """Exhaustively verify every small connected graph and write the summary JSON.
 
 Exit code 1 when any violation is recorded (each violation carries the
-counterexample graph, source, and trace), 2 on a bad argument.
+counterexample graph, source, and trace), 2 on a bad argument or an
+unwritable --out.
 """
 
 from __future__ import annotations
@@ -31,8 +32,12 @@ def main() -> int:
     elapsed = time.perf_counter() - t0
     text = dumps_stable(summary.to_json_obj())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"{ap.prog}: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     print(f"n_max={args.n_max}: {summary.graphs} graphs, {summary.runs} runs, "

@@ -10,12 +10,13 @@ searches for runs attaining the worst-case bound e+d+1.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .graph import (EcReport, Edge, Graph, _bfs, _ec_report, distance_profile,
-                    gen_named, is_bipartite)
+                    gen_named, is_bipartite, is_connected)
 from .sync_engine import InternalInvariantError, Trace, _run, run_sync
 
 BIPARTITE_EXACT = "bipartite_exact"
@@ -241,33 +242,14 @@ class _GraphContext:
         return _audit_from_parts(self.g, trace, self.rows[source], self.ec(source))
 
 
-def _mask_connected(n: int, mask: int, pairs: tuple[Edge, ...]) -> bool:
-    adjm = [0] * n
-    for idx, (u, v) in enumerate(pairs):
-        if mask >> idx & 1:
-            adjm[u] |= 1 << v
-            adjm[v] |= 1 << u
-    seen = frontier = 1
-    while frontier:
-        reach = 0
-        w = frontier
-        while w:
-            b = w & -w
-            reach |= adjm[b.bit_length() - 1]
-            w ^= b
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
 def _graphs(n: int, lo: int, hi: int):
     """Yield, in mask order, the connected graphs on 0..n-1 with edge mask in
     [lo, hi); bit i of a mask is pair i of ``combinations(range(n), 2)``."""
     pairs = tuple(combinations(range(n), 2))
     for mask in range(lo, hi):
-        if _mask_connected(n, mask, pairs):
-            yield Graph(n=n, edges=tuple(p for i, p in enumerate(pairs)
-                                         if mask >> i & 1))
+        g = Graph(n=n, edges=tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+        if is_connected(g):
+            yield g
 
 
 def connected_graphs(n: int):
@@ -381,7 +363,8 @@ def sweep(n_max: int, jobs: int = 1) -> SweepSummary:
     counterexample graph, source, and full trace.
 
     Work is split into fixed-size mask blocks merged in order, so the summary
-    is byte-identical for any ``jobs``.
+    is byte-identical for any ``jobs``. The sweep starts min(jobs, blocks,
+    CPUs) worker processes, and none when that is 1.
     """
     if not 2 <= n_max <= 7:
         raise ValueError(f"n_max must be between 2 and 7, got {n_max}")
@@ -392,8 +375,10 @@ def sweep(n_max: int, jobs: int = 1) -> SweepSummary:
         total = 1 << (n * (n - 1) // 2)
         blocks.extend((n, lo, min(lo + _SWEEP_BLOCK, total))
                       for lo in range(0, total, _SWEEP_BLOCK))
-    if jobs > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
+    # Pool starts every worker up front, so start no more than can be busy.
+    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(processes=workers) as pool:
             parts = pool.map(_sweep_block, blocks, chunksize=1)
     else:
         parts = [_sweep_block(b) for b in blocks]
@@ -487,7 +472,6 @@ def find_sharp_example(n_max: int, target: tuple[int, int] = (2, 4)) -> SharpSea
     if not 2 <= n_max <= 8:
         raise ValueError(f"n_max must be between 2 and 8, got {n_max}")
     frontier: dict[tuple[int, int], SharpWitness] = {}
-    smallest: SharpWitness | None = None
     n_searched = 0
     for n in range(2, n_max + 1):
         for g in connected_graphs(n):
@@ -501,11 +485,10 @@ def find_sharp_example(n_max: int, target: tuple[int, int] = (2, 4)) -> SharpSea
                 cur = frontier.get((e, diam))
                 if cur is None or _witness_rank(w) < _witness_rank(cur):
                     frontier[e, diam] = w
-                if e < diam and (smallest is None
-                                 or _witness_rank(w) < _witness_rank(smallest)):
-                    smallest = w
         n_searched = n
         if target in frontier:
             break
+    smallest = min((w for (e, d), w in frontier.items() if e < d),
+                   key=_witness_rank, default=None)
     return SharpSearchResult(n_searched, frontier.get(target), smallest,
                              frontier, _canonical_witnesses())

@@ -54,11 +54,17 @@ def _load_graph(args):
     parts = args.random.split(",")
     if len(parts) != 3:
         raise GraphError(f"--random wants N,P,SEED, got {args.random!r}")
+    env_seed = os.environ.get("AMNESIA_SEED")
     try:
         n, p = int(parts[0]), float(parts[1])
-        seed = int(os.environ.get("AMNESIA_SEED", parts[2]))
+        seed = int(parts[2]) if env_seed is None else None
     except ValueError:
         raise GraphError(f"bad --random value {args.random!r}") from None
+    if env_seed is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise GraphError(f"bad AMNESIA_SEED value {env_seed!r}") from None
     return gen_random(n, p, seed)
 
 
@@ -81,7 +87,10 @@ def _parse_mode(mode: str) -> tuple[str, str | None, int]:
 def _emit(out: str | None, obj) -> None:
     text = dumps_stable(obj)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

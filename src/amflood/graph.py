@@ -66,7 +66,9 @@ class Graph:
             prev = e
             nbrs[u].append(v)
             nbrs[v].append(u)
-        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in nbrs))
+        # Each list arrives sorted: for a node x, every edge (u, x) with u < x
+        # precedes every edge (x, v) in the lexicographic order checked above.
+        object.__setattr__(self, "adj", tuple(map(tuple, nbrs)))
         object.__setattr__(self, "edge_set", frozenset(self.edges))
 
     @classmethod
@@ -168,19 +170,13 @@ class BipartiteResult:
     coloring: tuple[int, ...] | None      # side 0/1 per node when bipartite
     odd_cycle: tuple[int, ...] | None     # odd closed walk (node sequence) otherwise
 
-    def __bool__(self) -> bool:
-        return self.bipartite
 
-
-def _odd_cycle(parent: list[int], depth: list[int], u: int, v: int) -> tuple[int, ...]:
-    # Climb both BFS-tree paths to the common ancestor. The two paths plus
-    # the edge {u, v} close a cycle; its length is odd because u and v sit
-    # at depths of equal parity.
+def _odd_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
+    # u and v share a colour, so they sit at the same BFS depth: a BFS edge
+    # joins depths at most one apart, and the colour is the depth's parity.
+    # Climbing both tree paths in lockstep meets at the common ancestor; the
+    # two paths plus the edge {u, v} close a cycle of odd length.
     pu, pv = [u], [v]
-    while depth[pu[-1]] > depth[pv[-1]]:
-        pu.append(parent[pu[-1]])
-    while depth[pv[-1]] > depth[pu[-1]]:
-        pv.append(parent[pv[-1]])
     while pu[-1] != pv[-1]:
         pu.append(parent[pu[-1]])
         pv.append(parent[pv[-1]])
@@ -196,7 +192,6 @@ def is_bipartite(g: Graph) -> BipartiteResult:
     """
     color = [-1] * g.n
     parent = [-1] * g.n
-    depth = [0] * g.n
     for root in range(g.n):
         if color[root] >= 0:
             continue
@@ -208,10 +203,9 @@ def is_bipartite(g: Graph) -> BipartiteResult:
                 if color[w] < 0:
                     color[w] = color[u] ^ 1
                     parent[w] = u
-                    depth[w] = depth[u] + 1
                     q.append(w)
                 elif color[w] == color[u]:
-                    return BipartiteResult(False, None, _odd_cycle(parent, depth, u, w))
+                    return BipartiteResult(False, None, _odd_cycle(parent, u, w))
     return BipartiteResult(True, tuple(color), None)
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,10 @@ TRIANGLE = parse_edge_list("a b\nb c\nc a")
 
 # connected labeled graph counts, a well-known enumeration sequence
 CONNECTED_LABELED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(dumps_stable(result.to_json_obj()).encode()).hexdigest()
 
 
 # ------------------------------------------------------------ classification
@@ -139,8 +145,7 @@ def test_sweep_n5_zero_violations():
     # pinned bytes of the whole summary
     assert s.j_minus_e_histogram == {0: 1062, 1: 1316, 2: 764, 3: 544, 4: 120}
     assert s.max_termination_round == 7
-    digest = hashlib.sha256(dumps_stable(s.to_json_obj()).encode()).hexdigest()
-    assert digest == "32e4a09928a7168022f717b016b6e4f07ba1d04fece8b8036aeb4a54e96c928a"
+    assert _digest(s) == "32e4a09928a7168022f717b016b6e4f07ba1d04fece8b8036aeb4a54e96c928a"
 
 
 def test_sweep_bipartite_runs_equal_zero_bucket():
@@ -178,6 +183,8 @@ def test_sweep_reports_a_faulty_kernel(monkeypatch):
         assert v.trace is not None
     assert {v.check for v in s.violations} >= {"termination_window",
                                                 "audit:layer_containment"}
+    # pinned bytes of the whole summary, violations and their traces included
+    assert _digest(s) == "c2d733c95f4f8e015f13f7500d57828bfdc3a007c9e648c0f0fce194c1a6700e"
 
 
 def test_sweep_keeps_the_trace_of_a_non_edge_arc(monkeypatch):
@@ -198,6 +205,37 @@ def test_sweep_keeps_the_trace_of_a_non_edge_arc(monkeypatch):
         assert v.trace is not None
         assert v.trace["termination_round"] is None
         assert [0, 0] in v.trace["rounds"][-1]
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+def _no_pool(processes):
+    # Stands in for multiprocessing.Pool: stops the sweep with the worker
+    # count it asked for, so no process is ever started.
+    raise _PoolStarted(processes)
+
+
+@pytest.mark.parametrize("jobs, cpus, n_max, workers", [
+    (100000, 64, 3, 2),      # n=2 and n=3 are one mask block each
+    (100000, 64, 6, 12),     # n=6 adds eight blocks of 4096 masks
+    (100000, 4, 6, 4),
+    (3, 64, 6, 3),
+    (100000, 1, 3, 1),
+    (100000, None, 3, 1),    # CPU count unknown
+    (2, 64, 2, 1),           # a single block
+])
+def test_sweep_starts_no_more_workers_than_it_can_use(monkeypatch, jobs, cpus,
+                                                      n_max, workers):
+    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if workers == 1:
+        assert sweep(n_max, jobs=jobs) == sweep(n_max)
+    else:
+        with pytest.raises(_PoolStarted) as exc:
+            sweep(n_max, jobs=jobs)
+        assert exc.value.args == (workers,)
 
 
 def test_sweep_rejects_bad_n_max():
@@ -259,6 +297,7 @@ def test_find_sharp_reaches_target_by_n6():
     assert (w.eccentricity, w.diameter, w.termination_round) == (2, 4, 7)
     rep = classify(w.graph, w.source)
     assert (rep.eccentricity, rep.diameter, rep.termination_round) == (2, 4, 7)
+    assert _digest(r) == "9e19a4ce1f91804ad91fe7cac6b3d701f22926ccfe91b8fd64ac8b4f9c951f6f"
 
 
 def test_find_sharp_absent_target_reports_frontier():
@@ -267,3 +306,4 @@ def test_find_sharp_absent_target_reports_frontier():
     assert r.target is None
     assert r.n_searched == 4
     assert (1, 1) in r.frontier
+    assert _digest(r) == "790a924f7420e2bfaa2c19fda974d6e885efab4c0ed5cef708b3267ce4ffc045"

@@ -117,10 +117,19 @@ def test_random_graph_seed_env_override(tmp_path, capsys, monkeypatch):
     _, base, _ = _run(capsys, "run", "--random", "12,0.4,5", "--source", "0")
     monkeypatch.setenv("AMNESIA_SEED", "5")
     _, same, _ = _run(capsys, "run", "--random", "12,0.4,999", "--source", "0")
+    _, unparsed, _ = _run(capsys, "run", "--random", "12,0.4,xyz", "--source", "0")
     monkeypatch.setenv("AMNESIA_SEED", "6")
     _, other, _ = _run(capsys, "run", "--random", "12,0.4,5", "--source", "0")
-    assert base == same
+    assert base == same == unparsed
     assert base != other
+
+
+def test_bad_seed_variable_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("AMNESIA_SEED", "abc")
+    code, out, err = _run(capsys, "run", "--random", "5,0.5,1", "--source", "0")
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == "amflood: bad AMNESIA_SEED value 'abc'\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -130,11 +139,16 @@ def test_random_graph_seed_env_override(tmp_path, capsys, monkeypatch):
     ("run", "--named", "cycle:5", "--source", "nope"),
     ("run", "--named", "cycle:5", "--source", "0", "--mode", "async:unknown"),
     ("run", "--random", "5,0.5", "--source", "0"),
+    ("run", "--random", "5,x,1", "--source", "0"),
+    ("run", "--named", "cycle:5", "--source", "0", "--mode", "nope"),
+    ("run", "--named", "cycle:5", "--source", "0", "--mode", "async:zero,x"),
+    ("run", "--named", "cycle:5", "--source", "0", "--mode", "async:zero,0"),
 ])
 def test_input_errors_exit_two(capsys, argv):
-    code, _, err = _run(capsys, *argv)
+    code, out, err = _run(capsys, *argv)
     assert code == cli.EXIT_INPUT_ERROR
-    assert err
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("name", sorted(async_engine.ADVERSARIES))
@@ -165,20 +179,43 @@ def test_package_import_reaches_the_modules(tmp_path):
     assert res.stdout.split() == ["sweep", "parse_edge_list", "run_sync", "run_async"]
 
 
+def _run_script(script, *args):
+    root = Path(cli.__file__).resolve().parents[2]
+    return subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("script, args", [
     ("run_sweep.py", ["--n-max", "8"]),
     ("run_sweep.py", ["--n-max", "3", "--jobs", "-3"]),
     ("find_sharp_witness.py", ["--n-max", "9"]),
 ])
 def test_scripts_exit_two_on_bad_arguments(script, args):
-    root = Path(cli.__file__).resolve().parents[2]
-    res = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
-                         env={**os.environ, "PYTHONPATH": str(root / "src")},
-                         capture_output=True, text=True)
+    res = _run_script(script, *args)
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith(f"{script}: ")
     assert len(res.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "run_sweep.py"])
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_exits_two(tmp_path, capsys, command, target):
+    out_path = tmp_path / "missing" / "x.json" if target == "missing_dir" else tmp_path
+    args = {"run": ["--named", "cycle:3", "--source", "0"],
+            "sweep": ["--n-max", "3"],
+            "run_sweep.py": ["--n-max", "3"]}[command] + ["--out", str(out_path)]
+    if command == "run_sweep.py":
+        res = _run_script(command, *args)
+        code, out, err, prog = res.returncode, res.stdout, res.stderr, command
+    else:
+        code, out, err = _run(capsys, command, *args)
+        prog = "amflood"
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith(f"{prog}: cannot write {out_path}: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_disconnected_graph_exits_two(tmp_path, capsys):

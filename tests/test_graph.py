@@ -70,6 +70,16 @@ def test_graph_validates_construction():
         Graph.from_edges(2, [(0, 5)])
     with pytest.raises(GraphError):
         Graph(n=0, edges=())
+    with pytest.raises(GraphError, match="self-loop at node 1"):
+        Graph(n=3, edges=((0, 1), (1, 1)))
+    with pytest.raises(GraphError, match="not normalized"):
+        Graph(n=3, edges=((1, 0),))
+    with pytest.raises(GraphError, match="sorted and unique"):
+        Graph(n=3, edges=((1, 2), (0, 1)))
+    with pytest.raises(GraphError, match="sorted and unique"):
+        Graph(n=3, edges=((0, 1), (0, 1)))
+    with pytest.raises(GraphError, match="labels"):
+        Graph(n=3, edges=((0, 1), (1, 2)), labels=("a", "b"))
 
 
 # ------------------------------------------------------------- generators
@@ -97,6 +107,7 @@ def test_cycle6():
 
 @pytest.mark.parametrize("kind,param", [
     ("hypercube", 0), ("cycle", 2), ("path", 1), ("complete", 1),
+    ("petersen", 3), ("cycle", None),
 ])
 def test_generator_minimums(kind, param):
     with pytest.raises(GraphError):
@@ -146,6 +157,12 @@ def test_gen_random_extremes():
     assert gen_random(5, 0.0, 9).m == 0
     k4 = gen_random(4, 1.0, 9)
     assert k4.m == 6
+
+
+@pytest.mark.parametrize("n,p", [(0, 0.5), (-3, 0.5), (5, -0.1), (5, 1.5)])
+def test_gen_random_rejects_bad_parameters(n, p):
+    with pytest.raises(GraphError, match="need"):
+        gen_random(n, p, 1)
 
 
 def test_gen_random_deterministic():
@@ -261,3 +278,26 @@ def test_bipartite_iff_no_ec_nodes_every_source(g):
 def test_diameter_is_max_eccentricity(g):
     assert diameter(g) == max(distance_profile(g, s).eccentricity
                               for s in range(g.n))
+
+
+@settings(max_examples=150)
+@given(connected_graph())
+def test_bipartite_witness_is_valid(g):
+    res = is_bipartite(g)
+    if res.bipartite:
+        assert all(res.coloring[u] != res.coloring[v] for u, v in g.edges)
+        return
+    cyc = res.odd_cycle
+    assert len(cyc) % 2 == 1 and len(cyc) >= 3
+    assert len(set(cyc)) == len(cyc)
+    for i, u in enumerate(cyc):
+        v = cyc[(i + 1) % len(cyc)]
+        assert (min(u, v), max(u, v)) in g.edge_set
+
+
+@settings(max_examples=80)
+@given(connected_graph())
+def test_adjacency_lists_are_sorted_neighbour_sets(g):
+    for v in range(g.n):
+        assert g.adj[v] == tuple(sorted({u for e in g.edges if v in e
+                                         for u in e if u != v}))
