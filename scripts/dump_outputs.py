@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Write every output of amflood that must stay byte-stable, one file each,
+so two versions compare with a single ``diff -r``.
+
+    PYTHONPATH=src python scripts/dump_outputs.py OUTDIR
+
+The corpus: the sweep summary JSON for every n_max <= 6 with one and with
+two workers; the sharpness search for (8), (5), (4, target (2, 5)) and
+(6, target (3, 3)); CLI ``run`` in the sync, ``async:zero`` and
+``async:fig6`` modes and ``analyze`` from every source of each graph below;
+and the input-error cases. A CLI file holds stdout, then ``exit=CODE``,
+then stderr. Exit code 2 on a bad argument.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from amflood import cli
+from amflood.analysis import find_sharp_example, sweep
+from amflood.jsonio import dumps_stable
+
+# (flag, value, node count) for named graphs and an Erdos-Renyi draw; the
+# edge-list file with labels is written to a temporary directory.
+GRAPHS = [
+    ("--named", "petersen", 10), ("--named", "hypercube:3", 8), ("--named", "cycle:3", 3),
+    ("--named", "cycle:5", 5), ("--named", "cycle:6", 6), ("--named", "path:4", 4),
+    ("--named", "complete:4", 4), ("--random", "16,0.3,42", 16),
+]
+LABELED = "a b\nb c\nc a\nc d\nd e\ne c\n"  # two triangles sharing c
+MODES = ("sync", "async:zero", "async:fig6")
+SHARP = [("8", 8, (2, 4)), ("5", 5, (2, 4)), ("4_2_5", 4, (2, 5)), ("6_3_3", 6, (3, 3))]
+INPUT_ERRORS = [
+    ("run", "--graph", "no/such/file.edges", "--source", "0"),
+    ("run", "--named", "torus:3", "--source", "0"),
+    ("run", "--named", "cycle:abc", "--source", "0"),
+    ("run", "--named", "cycle:5", "--source", "nope"),
+    ("run", "--named", "cycle:5", "--source", "0", "--mode", "async:unknown"),
+    ("run", "--named", "cycle:5", "--source", "0", "--mode", "nope"),
+    ("run", "--named", "cycle:5", "--source", "0", "--mode", "async:zero,x"),
+    ("run", "--named", "cycle:5", "--source", "0", "--mode", "async:zero,0"),
+    ("run", "--named", "cycle:5", "--source", "0", "--max-rounds", "0"),
+    ("run", "--named", "complete:4473", "--source", "0"),
+    ("run", "--random", "5,0.5", "--source", "0"),
+    ("run", "--random", "5,x,1", "--source", "0"),
+    ("run", "--random", "4473,0.5,1", "--source", "0"),
+    ("run", "--named", "cycle:3", "--source", "0", "--out", "no/such/dir/out.json"),
+    ("run", "--named", "cycle:3", "--source", "0", "--out", "."),
+    ("analyze", "--named", "cycle:3", "--source", "0", "--out", "."),
+    ("sweep", "--n-max", "8"),
+    ("sweep", "--n-max", "3", "--jobs", "0"),
+    ("sweep", "--n-max", "3", "--out", "."),
+]
+
+
+def _cli(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return f"{out.getvalue()}exit={code}\n{err.getvalue()}"
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print("dump_outputs.py: usage: dump_outputs.py OUTDIR", file=sys.stderr)
+        return 2
+    root = Path(sys.argv[1])
+    files: dict[str, str] = {}
+    for n_max in range(2, 7):
+        for jobs in (1, 2):
+            files[f"sweep/n{n_max}_jobs{jobs}.json"] = dumps_stable(
+                sweep(n_max, jobs=jobs).to_json_obj())
+    for name, n_max, target in SHARP:
+        files[f"sharp/{name}.json"] = dumps_stable(
+            find_sharp_example(n_max, target=target).to_json_obj())
+    with tempfile.TemporaryDirectory() as tmp:
+        labeled = Path(tmp) / "labels.edges"
+        labeled.write_text(LABELED)
+        for flag, value, n in GRAPHS + [("--graph", str(labeled), 5)]:
+            label = "graph_labels" if flag == "--graph" else f"{flag[2:]}_{value}"
+            for source in range(n):
+                base = (flag, value, "--source", str(source))
+                for mode in MODES:
+                    files[f"cli/{label}/run_{mode}_s{source}.txt"] = _cli(
+                        ("run", *base, "--mode", mode))
+                files[f"cli/{label}/analyze_s{source}.txt"] = _cli(("analyze", *base))
+    for i, argv in enumerate(INPUT_ERRORS):
+        files[f"errors/{i:02d}_{argv[0]}.txt"] = " ".join(argv) + "\n" + _cli(argv)
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    print(f"wrote {len(files)} files under {root}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

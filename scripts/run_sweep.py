@@ -3,16 +3,17 @@
 
 Exit code 1 when any violation is recorded (each violation carries the
 counterexample graph, source, and trace), 2 on a bad argument or an
-unwritable --out.
+unwritable --out, which is opened before the sweep starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
-from amflood.analysis import sweep
+from amflood.analysis import check_sweep_args, sweep
 from amflood.jsonio import dumps_stable
 
 
@@ -23,23 +24,25 @@ def main() -> int:
     ap.add_argument("--out", default=None, help="write JSON here instead of stdout")
     args = ap.parse_args()
 
-    t0 = time.perf_counter()
     try:
-        summary = sweep(args.n_max, jobs=args.jobs)
+        check_sweep_args(args.n_max, args.jobs)
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except ValueError as exc:
         print(f"{ap.prog}: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - t0
-    text = dumps_stable(summary.to_json_obj())
-    if args.out:
+    except OSError as exc:
+        print(f"{ap.prog}: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
+    t0 = time.perf_counter()
+    with out as fh:
+        summary = sweep(args.n_max, jobs=args.jobs)
+        elapsed = time.perf_counter() - t0
         try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            fh.write(dumps_stable(summary.to_json_obj()))
+            fh.flush()
         except OSError as exc:
-            print(f"{ap.prog}: cannot write {args.out}: {exc}", file=sys.stderr)
+            print(f"{ap.prog}: cannot write {fh.name}: {exc}", file=sys.stderr)
             return 2
-    else:
-        sys.stdout.write(text)
     print(f"n_max={args.n_max}: {summary.graphs} graphs, {summary.runs} runs, "
           f"{len(summary.violations)} violations, {elapsed:.1f}s", file=sys.stderr)
     return 0 if not summary.violations else 1

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import (EcReport, Edge, Graph, _bfs, _ec_report, distance_profile,
-                    gen_named, is_bipartite, is_connected)
-from .sync_engine import InternalInvariantError, Trace, _run, run_sync
+from .graph import (Edge, Graph, _bfs, distance_profile, gen_named, is_bipartite,
+                    is_connected)
+from .sync_engine import (Inbox, InternalInvariantError, Receipts, Trace, _acyclic,
+                          _check_floodable, _flood, _inbox, _receipts, _trace)
 
 BIPARTITE_EXACT = "bipartite_exact"
 NONBIPARTITE_WINDOW = "nonbipartite_window"
@@ -55,8 +57,9 @@ def _window_ok(j: int, e: int, diam: int, bipartite: bool) -> bool:
 
 def classify(g: Graph, source: int) -> ClassificationReport:
     """Run the synchronous engine and place the outcome in its termination window."""
-    trace = run_sync(g, source)
-    return _GraphContext(g, (source,)).classify(source, trace)
+    _check_floodable(g, source)
+    j = len(_flood(g, source)[0]) - 1
+    return _GraphContext(g, (source,)).classify(source, j)
 
 
 @dataclass(frozen=True)
@@ -76,11 +79,6 @@ AUDIT_CHECKS = ("layer_containment", "frontier_sends", "ec_second_receipt",
                 "single_visit_iff_no_ec", "neighbor_echo_window")
 # A passing check carries nothing but its name, so every audit shares these.
 _PASSED = {name: AuditCheck(name, True) for name in AUDIT_CHECKS}
-
-
-def _check(name: str, ok: bool, node: int | None, rnd: int | None,
-           detail: str) -> AuditCheck:
-    return _PASSED[name] if ok else AuditCheck(name, False, node, rnd, detail)
 
 
 @dataclass(frozen=True)
@@ -106,112 +104,145 @@ class TraceAudit:
                 "checks": [c.to_json_obj() for c in self.checks]}
 
 
+# The audit of a run that passes every check.
+_ALL_PASSED = TraceAudit(tuple(_PASSED.values()))
+
+
+@_acyclic
 def audit_trace(g: Graph, source: int, trace: Trace) -> TraceAudit:
     """Audit a trace produced by run_sync(g, source)."""
-    dist = distance_profile(g, source).dist
-    return _audit_from_parts(g, trace, dist, _ec_report(g, source, dist))
+    dist = list(distance_profile(g, source).dist)
+    # The audit reads a node's inbox only in the round of its distance, so
+    # only the sends into those nodes cross into masks.
+    inboxes = [{}]
+    inboxes.extend(_inbox(g, [arc for arc in config if dist[arc[1]] == t])
+                   for t, config in enumerate(trace.rounds, 1))
+    return _audit(g, inboxes, _receipts(g.n, trace.round_sets), dist, _edge_bits(g))
 
 
-def _audit_from_parts(g: Graph, trace: Trace, dist, ec: EcReport) -> TraceAudit:
-    # One pass over the round-sets: each node's first and second receipt
-    # round (None when missing) and its number of receipts.
-    first: list[int | None] = [None] * g.n
-    second: list[int | None] = [None] * g.n
-    count = [0] * g.n
-    for i, rs in enumerate(trace.round_sets):
-        for v in rs:
-            c = count[v]
-            if c == 0:
-                first[v] = i
-            elif c == 1:
-                second[v] = i
-            count[v] = c + 1
-    checks: list[AuditCheck] = []
+def _edge_bits(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
+    """(u, w, bit of u in w's list, bit of w in u's list) for each edge
+    (u, w), in edge order."""
+    bits = []
+    for v, (nbrs, back) in enumerate(zip(g.adj, g.rev)):
+        # a sorted list holds the neighbours above v after those below it
+        for i in range(bisect_right(nbrs, v), len(nbrs)):
+            bits.append((v, nbrs[i], 1 << back[i], 1 << i))
+    return tuple(bits)
+
+
+def _audit(g: Graph, inboxes: list[Inbox], receipts: Receipts, dist: list[int],
+           edge_bits) -> TraceAudit:
+    """The five checks of a run against the BFS distances ``dist`` around its
+    source: ``inboxes[t]`` holds the inbox of round t of every node at
+    distance t, and ``edge_bits`` is ``_edge_bits(g)``. Each failing check
+    names its first counterexample in the order the check reads."""
+    n = g.n
+    first, second, count = receipts
+    last = len(inboxes)
+    # One pass over the edges (u < w) finds each edge-local check's first
+    # counterexample: the frontier edge, in edge order, whose nearer end is
+    # missing from its farther end's inbox in the round of that end's
+    # distance; the smallest ec node (a node with a neighbour at its own
+    # distance) and the smallest one without its second receipt one round
+    # after its distance; and the smallest (node, neighbour) pair whose
+    # second receipts are not within one round of each other.
+    missed = ec_min = ec_late = echo = None
+    for u, w, bu, bw in edge_bits:
+        du, dw = dist[u], dist[w]
+        if du == dw:
+            if ec_min is None:
+                ec_min = u
+            if second[u] != du + 1 or second[w] != du + 1:
+                late = u if second[u] != du + 1 else w
+                if ec_late is None or late < ec_late:
+                    ec_late = late
+        elif missed is None:
+            a, b, bit = (u, w, bu) if du < dw else (w, u, bw)
+            if dist[b] >= last or not inboxes[dist[b]].get(b, 0) & bit:
+                missed = a, b
+        su, sw = second[u], second[w]
+        if su is None:
+            if sw is None:
+                continue
+            pair = w, u
+        elif sw is None or not -1 <= su - sw <= 1:
+            pair = u, w
+        else:
+            continue
+        if echo is None or pair < echo:
+            echo = pair
+    single = count.count(1) == n
+    if (missed is ec_late is echo is None and first == dist
+            and single == (ec_min is None)):
+        return _ALL_PASSED
+    # Each check's failure as (node, round, detail), or None when it passes.
+    failed = dict.fromkeys(AUDIT_CHECKS)
 
     # Every node's first receipt happens exactly at its BFS distance: the
     # layer at distance j is fully covered by round j and never touched earlier.
-    ok, node, rnd, detail = True, None, None, ""
-    for v in range(g.n):
-        if first[v] != dist[v]:
-            ok, node, rnd = False, v, first[v]
-            detail = f"first receipt of {v} at {rnd}, distance {dist[v]}"
-            break
-    checks.append(_check("layer_containment", ok, node, rnd, detail))
+    if first != dist:
+        v = next(v for v in range(n) if first[v] != dist[v])
+        failed["layer_containment"] = (
+            v, first[v], f"first receipt of {v} at {first[v]}, distance {dist[v]}")
 
     # Every edge from layer j to layer j+1 carries a send in round j+1.
-    ok, node, rnd, detail = True, None, None, ""
-    for u, v in g.edges:
-        a, b = (u, v) if dist[u] < dist[v] else (v, u)
-        if dist[b] - dist[a] != 1:
-            continue
-        r = dist[a]  # sends of round r+1 are stored at rounds[r]
-        if r >= len(trace.rounds) or (a, b) not in trace.rounds[r]:
-            ok, node, rnd = False, a, r + 1
-            detail = f"edge ({a},{b}) carried no send in round {r + 1}"
-            break
-    checks.append(_check("frontier_sends", ok, node, rnd, detail))
+    if missed is not None:
+        a, b = missed
+        failed["frontier_sends"] = (
+            a, dist[b], f"edge ({a},{b}) carried no send in round {dist[b]}")
 
     # An equidistantly-connected node at distance j receives again exactly in
     # round j+1.
-    ok, node, rnd, detail = True, None, None, ""
-    for v in sorted(ec.ec_nodes):
-        if second[v] != dist[v] + 1:
-            ok, node, rnd = False, v, second[v]
-            detail = f"ec node {v} second receipt at {rnd}, expected {dist[v] + 1}"
-            break
-    checks.append(_check("ec_second_receipt", ok, node, rnd, detail))
+    if ec_late is not None:
+        v = ec_late
+        failed["ec_second_receipt"] = (
+            v, second[v],
+            f"ec node {v} second receipt at {second[v]}, expected {dist[v] + 1}")
 
     # All nodes receive exactly once if and only if there are no ec nodes.
-    single = all(c == 1 for c in count)
-    ok = single == (not ec.ec_nodes)
-    node, rnd, detail = None, None, ""
-    if not ok:
-        if ec.ec_nodes:
-            node = min(ec.ec_nodes)
-            detail = f"ec nodes exist ({node}) but every node received exactly once"
+    if single != (ec_min is None):
+        if ec_min is not None:
+            failed["single_visit_iff_no_ec"] = (
+                ec_min, None,
+                f"ec nodes exist ({ec_min}) but every node received exactly once")
         else:
-            node = next(v for v in range(g.n) if count[v] != 1)
-            rnd = second[node]
-            detail = f"no ec nodes but node {node} received {count[node]} times"
-    checks.append(_check("single_visit_iff_no_ec", ok, node, rnd, detail))
+            v = next(v for v in range(n) if count[v] != 1)
+            failed["single_visit_iff_no_ec"] = (
+                v, second[v], f"no ec nodes but node {v} received {count[v]} times")
 
     # If a node receives a second time in round j, each neighbour's second
     # receipt falls in round j-1, j, or j+1. Nodes with a single receipt do
     # not trigger the check.
-    ok, node, rnd, detail = True, None, None, ""
-    for h in range(g.n):
+    if echo is not None:
+        h, w = echo
         j = second[h]
-        if j is None:
-            continue
-        for w in g.adj[h]:
-            sw = second[w]
-            if sw is None or not j - 1 <= sw <= j + 1:
-                ok, node, rnd = False, w, sw
-                detail = (f"neighbour {w} of {h} has second receipt {rnd}, "
+        failed["neighbor_echo_window"] = (
+            w, second[w], f"neighbour {w} of {h} has second receipt {second[w]}, "
                           f"outside rounds {j - 1}..{j + 1}")
-                break
-        if not ok:
-            break
-    checks.append(_check("neighbor_echo_window", ok, node, rnd, detail))
 
-    return TraceAudit(tuple(checks))
+    return TraceAudit(tuple(
+        _PASSED[name] if fail is None else AuditCheck(name, False, *fail)
+        for name, fail in failed.items()))
 
 
 def analyze(g: Graph, source: int) -> tuple[ClassificationReport, TraceAudit]:
     """Classification plus audit for one (graph, source), running the engine once."""
-    trace = run_sync(g, source)
+    _check_floodable(g, source)
+    inboxes, receipts = _flood(g, source)
     ctx = _GraphContext(g, (source,))
-    return ctx.classify(source, trace), ctx.audit(source, trace)
+    return (ctx.classify(source, len(inboxes) - 1),
+            ctx.audit(source, inboxes, receipts))
 
 
 class _GraphContext:
     """The facts the verdicts need about one connected graph, each computed
     once: one BFS row per node gives the diameter, and the rows of
-    ``sources`` are kept for their eccentricities and ec sets; the other rows
+    ``sources`` are kept for their eccentricities and audits; the other rows
     are dropped, so a single-source caller holds O(n+m), not an n x n table.
     Bipartiteness comes from the independent coloring oracle, once."""
 
-    __slots__ = ("g", "rows", "diameter", "bipartite")
+    __slots__ = ("g", "rows", "diameter", "bipartite", "edge_bits")
 
     def __init__(self, g: Graph, sources):
         keep = set(sources)
@@ -225,21 +256,21 @@ class _GraphContext:
                 self.rows[s] = row
         self.diameter = diam
         self.bipartite = is_bipartite(g).bipartite
+        self.edge_bits = None  # built by the first audit
 
     def eccentricity(self, source: int) -> int:
         return max(self.rows[source])
 
-    def ec(self, source: int) -> EcReport:
-        return _ec_report(self.g, source, self.rows[source])
-
-    def classify(self, source: int, trace: Trace) -> ClassificationReport:
-        e, j, bip = self.eccentricity(source), trace.termination_round, self.bipartite
+    def classify(self, source: int, j: int) -> ClassificationReport:
+        e, bip = self.eccentricity(source), self.bipartite
         return ClassificationReport(source, bip, e, self.diameter, j,
                                     _window_ok(j, e, self.diameter, bip),
                                     BIPARTITE_EXACT if bip else NONBIPARTITE_WINDOW)
 
-    def audit(self, source: int, trace: Trace) -> TraceAudit:
-        return _audit_from_parts(self.g, trace, self.rows[source], self.ec(source))
+    def audit(self, source: int, inboxes: list[Inbox], receipts: Receipts) -> TraceAudit:
+        if self.edge_bits is None:
+            self.edge_bits = _edge_bits(self.g)
+        return _audit(self.g, inboxes, receipts, self.rows[source], self.edge_bits)
 
 
 def _graphs(n: int, lo: int, hi: int):
@@ -326,11 +357,12 @@ def _examine_graph(g: Graph, tally: _Tally) -> None:
     for source in range(g.n):
         e = ctx.eccentricity(source)
         try:
-            trace = _run(g, source)
+            inboxes, receipts = _flood(g, source)
         except InternalInvariantError as exc:
             trace, found = exc.trace, [("engine_invariant", str(exc))]
         else:
-            j = trace.termination_round
+            trace = None
+            j = len(inboxes) - 1
             tally.max_j = max(tally.max_j, j)
             tally.hist[j - e] += 1
             found = []
@@ -342,7 +374,9 @@ def _examine_graph(g: Graph, tally: _Tally) -> None:
                               f"j={j} outside window for e={e} d={diam} "
                               f"bipartite={bip}"))
             found.extend((f"audit:{c.name}", c.detail)
-                         for c in ctx.audit(source, trace).failures)
+                         for c in ctx.audit(source, inboxes, receipts).failures)
+            if found:
+                trace = _trace(g, source, inboxes, j)
         if found:
             dump = trace.to_json_obj() if trace is not None else None
             tally.violations.extend(SweepViolation(g.n, g.edges, source, check, detail,
@@ -356,6 +390,14 @@ def _sweep_block(block: tuple[int, int, int]) -> _Tally:
     return tally
 
 
+def check_sweep_args(n_max: int, jobs: int = 1) -> None:
+    """Raise ValueError unless sweep accepts ``n_max`` and ``jobs``."""
+    if not 2 <= n_max <= 7:
+        raise ValueError(f"n_max must be between 2 and 7, got {n_max}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def sweep(n_max: int, jobs: int = 1) -> SweepSummary:
     """Run every (connected graph, source) pair for 2 <= n <= n_max and verify
     the termination bound, the receipt-multiplicity bound, the termination
@@ -366,10 +408,7 @@ def sweep(n_max: int, jobs: int = 1) -> SweepSummary:
     is byte-identical for any ``jobs``. The sweep starts min(jobs, blocks,
     CPUs) worker processes, and none when that is 1.
     """
-    if not 2 <= n_max <= 7:
-        raise ValueError(f"n_max must be between 2 and 7, got {n_max}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_sweep_args(n_max, jobs)
     blocks = []
     for n in range(2, n_max + 1):
         total = 1 << (n * (n - 1) // 2)
@@ -478,7 +517,7 @@ def find_sharp_example(n_max: int, target: tuple[int, int] = (2, 4)) -> SharpSea
             ctx = _GraphContext(g, range(g.n))
             diam = ctx.diameter
             for source in range(g.n):
-                e, j = ctx.eccentricity(source), _run(g, source).termination_round
+                e, j = ctx.eccentricity(source), len(_flood(g, source)[0]) - 1
                 if j != e + diam + 1:
                     continue
                 w = SharpWitness(g, source, e, diam, j)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph
-from .sync_engine import (Arc, InternalInvariantError, Trace, _acyclic,
-                          _check_floodable, _forward)
+from .sync_engine import (Arc, InternalInvariantError, Trace, _acyclic, _arcs,
+                          _check_floodable, _forward, _inbox)
 
 Message = tuple[int, int, int]  # (sender, receiver, rounds already held)
 AsyncConfiguration = frozenset[Message]
@@ -155,12 +155,14 @@ def _execute_round(g: Graph, pool: AsyncConfiguration, hold: frozenset[Arc],
         delivered = pool - held
     else:
         delivered, held = pool, frozenset()
-    receipts, sends = _forward(g, ((u, v) for u, v, _age in delivered))
+    inbox = _inbox(g, ((u, v) for u, v, _age in delivered))
+    sends = _arcs(g, _forward(g, inbox))
     # a fresh send on an arc that already carries a held copy collapses into
     # it; the token is a single indistinguishable M
     nxt = frozenset([(u, v, age + 1) for u, v, age in held]
                     + [(u, v, 0) for u, v in sends if (u, v) not in hold])
-    return nxt, AsyncRound(pool=pool, delivered=delivered, held=held, receipts=receipts)
+    return nxt, AsyncRound(pool=pool, delivered=delivered, held=held,
+                           receipts=frozenset(inbox))
 
 
 def run_async(g: Graph, source: int, adversary: Adversary,

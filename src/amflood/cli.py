@@ -9,6 +9,7 @@ detected (async), 4 round budget exhausted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -36,13 +37,13 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_graph(args):
-    if args.graph:
+    if args.graph is not None:
         try:
             text = Path(args.graph).read_text()
         except OSError as exc:
             raise GraphError(f"cannot read {args.graph}: {exc}") from None
         return parse_edge_list(text)
-    if args.named:
+    if args.named is not None:
         kind, _, param = args.named.partition(":")
         if not param:
             return gen_named(kind)
@@ -84,15 +85,28 @@ def _parse_mode(mode: str) -> tuple[str, str | None, int]:
     raise GraphError(f"unknown mode {mode!r}")
 
 
-def _emit(out: str | None, obj) -> None:
-    text = dumps_stable(obj)
-    if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {out}: {exc}") from None
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The stream the JSON goes to: stdout, or the file ``out``. Commands open
+    it once their arguments and graph are valid and before they compute, so
+    an unwritable path fails at once."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        fh = open(out, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from None
+    with fh:
+        yield fh
+
+
+def _emit(fh, obj) -> None:
+    try:
+        fh.write(dumps_stable(obj))
+        fh.flush()
+    except OSError as exc:
+        raise ValueError(f"cannot write {fh.name}: {exc}") from None
 
 
 def _check_positive(flag: str, value: int | None) -> None:
@@ -105,22 +119,23 @@ def _cmd_run(args) -> int:
     g = _load_graph(args)
     source = g.resolve(args.source)
     kind, adv_name, hold_cap = _parse_mode(args.mode)
-    if kind == "sync":
-        try:
-            trace = run_sync(g, source, args.max_rounds)
-        except RoundBudgetError as exc:
-            # Only a budget the user set may run out; the default 2n+2 guard
-            # running out is an engine bug and stays an internal error.
-            if args.max_rounds is None:
-                raise
-            _emit(args.out, exc.trace.to_json_obj())
-            return EXIT_EXHAUSTED
-        _emit(args.out, trace.to_json_obj())
-        return EXIT_OK
-    adversary = async_engine.ADVERSARIES[adv_name]()
-    verdict = async_engine.run_async(g, source, adversary,
-                                     max_rounds=args.max_rounds, hold_cap=hold_cap)
-    _emit(args.out, verdict.to_json_obj())
+    with _output(args.out) as fh:
+        if kind == "sync":
+            try:
+                trace = run_sync(g, source, args.max_rounds)
+            except RoundBudgetError as exc:
+                # Only a budget the user set may run out; the default 2n+2
+                # guard running out is an engine bug and stays an internal error.
+                if args.max_rounds is None:
+                    raise
+                _emit(fh, exc.trace.to_json_obj())
+                return EXIT_EXHAUSTED
+            _emit(fh, trace.to_json_obj())
+            return EXIT_OK
+        adversary = async_engine.ADVERSARIES[adv_name]()
+        verdict = async_engine.run_async(g, source, adversary,
+                                         max_rounds=args.max_rounds, hold_cap=hold_cap)
+        _emit(fh, verdict.to_json_obj())
     return {
         async_engine.OUTCOME_TERMINATED: EXIT_OK,
         async_engine.OUTCOME_CYCLE: EXIT_CYCLE,
@@ -131,21 +146,32 @@ def _cmd_run(args) -> int:
 def _cmd_analyze(args) -> int:
     g = _load_graph(args)
     source = g.resolve(args.source)
-    report, audit = analysis.analyze(g, source)
-    _emit(args.out, {"classification": report.to_json_obj(),
-                     "audit": audit.to_json_obj()})
+    with _output(args.out) as fh:
+        report, audit = analysis.analyze(g, source)
+        _emit(fh, {"classification": report.to_json_obj(),
+                   "audit": audit.to_json_obj()})
     return EXIT_OK if report.window_ok and audit.all_ok else EXIT_VIOLATION
 
 
 def _cmd_sweep(args) -> int:
     _check_positive("--jobs", args.jobs)
-    summary = analysis.sweep(args.n_max, jobs=args.jobs)
-    _emit(args.out, summary.to_json_obj())
+    analysis.check_sweep_args(args.n_max, args.jobs)
+    with _output(args.out) as fh:
+        summary = analysis.sweep(args.n_max, jobs=args.jobs)
+        _emit(fh, summary.to_json_obj())
     return EXIT_OK if not summary.violations else EXIT_VIOLATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like every other input error: exit 2 with one
+    line on stderr."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="amflood",
         description="Simulate and verify amnesiac flooding on finite graphs.")
     sub = ap.add_subparsers(dest="command", required=True)

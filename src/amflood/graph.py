@@ -7,6 +7,7 @@ algorithm works on ids.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -45,7 +46,6 @@ class Graph:
     edges: tuple[Edge, ...]
     labels: tuple[str, ...] | None = None
     adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    edge_set: frozenset[Edge] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -69,7 +69,6 @@ class Graph:
         # Each list arrives sorted: for a node x, every edge (u, x) with u < x
         # precedes every edge (x, v) in the lexicographic order checked above.
         object.__setattr__(self, "adj", tuple(map(tuple, nbrs)))
-        object.__setattr__(self, "edge_set", frozenset(self.edges))
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> Graph:
@@ -81,6 +80,20 @@ class Graph:
             norm.add((u, v) if u < v else (v, u))
         return cls(n=n, edges=tuple(sorted(norm)),
                    labels=tuple(labels) if labels is not None else None)
+
+    @functools.cached_property
+    def rev(self) -> tuple[tuple[int, ...], ...]:
+        """rev[v][i] is the position of v in adj[adj[v][i]], built on first
+        use: visiting the nodes in increasing order reaches each node's
+        neighbours in the order of its sorted list, so one pointer per node
+        gives every position in O(m)."""
+        seen = [0] * self.n
+        rows = []
+        for nbrs in self.adj:
+            rows.append(tuple(map(seen.__getitem__, nbrs)))
+            for w in nbrs:
+                seen[w] += 1
+        return tuple(rows)
 
     @property
     def m(self) -> int:
@@ -252,7 +265,8 @@ def parse_edge_list(text: str) -> Graph:
     if not rows:
         raise GraphError("empty edge list")
 
-    numeric = all(a.isdigit() and b.isdigit() for _, a, b in rows)
+    # isdecimal, not isdigit: a digit such as "²" is not a decimal int() reads
+    numeric = all(a.isdecimal() and b.isdecimal() for _, a, b in rows)
     labels: tuple[str, ...] | None
     if numeric:
         ids = [(ln, int(a), int(b)) for ln, a, b in rows]

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import functools
 import gc
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import DisconnectedGraphError, Graph, is_connected
 
@@ -82,31 +84,65 @@ class Trace:
         }
 
 
-def _forward(g: Graph, config) -> tuple[frozenset[int], Configuration]:
-    """One round in a single pass over ``config``'s arcs: the nodes receiving
-    this round and the sends they make next, each to every neighbour that did
-    not just send to it. The one forward rule of the package; both engines
-    call it."""
-    edge_set = g.edge_set
-    inbox: dict[int, set[int]] = {}
-    for u, v in config:
-        if ((u, v) if u < v else (v, u)) not in edge_set:
+# A round's inbox maps each node receiving in it to the mask of positions in
+# its sorted adjacency list whose neighbours just sent to it. Round 0's inbox
+# is {source: 0}: the source hears from nobody, so it sends to everyone.
+Inbox = dict[int, int]
+
+
+def _forward(g: Graph, inbox: Inbox) -> Inbox:
+    """One round: each node in ``inbox`` sends to every neighbour outside its
+    mask, and the result is the next round's inbox. The one forward rule of
+    the package; both engines call it."""
+    adj, rev = g.adj, g.rev
+    nxt: Inbox = {}
+    get = nxt.get
+    for v, m in inbox.items():
+        back = rev[v]
+        for i, w in enumerate(adj[v]):
+            if not m >> i & 1:
+                nxt[w] = get(w, 0) | 1 << back[i]
+    return nxt
+
+
+def _inbox(g: Graph, arcs) -> Inbox:
+    """The inbox receiving the sends ``arcs``: the boundary where arc sets
+    enter the kernel, and so where an arc that is not an edge is caught."""
+    adj, n = g.adj, g.n
+    inbox: Inbox = {}
+    for u, v in arcs:
+        nbrs = adj[v] if 0 <= v < n else ()
+        i = bisect_left(nbrs, u)
+        if i == len(nbrs) or nbrs[i] != u:
             raise InternalInvariantError(f"in-flight arc {(u, v)} is not an edge")
-        senders = inbox.get(v)
-        if senders is None:
-            inbox[v] = {u}
-        else:
-            senders.add(u)
+        inbox[v] = inbox.get(v, 0) | 1 << i
+    return inbox
+
+
+def _arcs(g: Graph, inbox: Inbox) -> list[Arc]:
+    """The sends an inbox receives, as (sender, receiver) arcs."""
     adj = g.adj
-    out = frozenset([(v, w) for v, senders in inbox.items()
-                     for w in adj[v] if w not in senders])
-    return frozenset(inbox), out
+    arcs = []
+    for v, m in inbox.items():
+        nbrs = adj[v]
+        while m:
+            low = m & -m
+            arcs.append((nbrs[low.bit_length() - 1], v))
+            m ^= low
+    return arcs
+
+
+def _trace(g: Graph, source: int, inboxes: list[Inbox],
+           termination_round: int | None) -> Trace:
+    """The Trace of a run whose round-t inbox is ``inboxes[t]``."""
+    return Trace(g.n, source, tuple(frozenset(_arcs(g, ib)) for ib in inboxes[1:]),
+                 tuple(map(frozenset, inboxes)), termination_round)
 
 
 def step(g: Graph, config: Configuration) -> Configuration:
     """One synchronous round: receivers of ``config`` forward to everyone who
     did not just send to them. Pure; consults no state besides its arguments."""
-    return _forward(g, config)[1]
+    return frozenset(_arcs(g, _forward(g, _inbox(g, config))))
 
 
 @_acyclic
@@ -115,13 +151,13 @@ def run_sync(g: Graph, source: int, max_rounds: int | None = None) -> Trace:
 
     ``max_rounds`` defaults to 2n+2, one beyond the proven termination bound,
     so a run that would exceed it surfaces as an engine bug rather than being
-    silently truncated. Running out of rounds raises RoundBudgetError, and an
-    in-flight arc that is not an edge InternalInvariantError, each with the
-    partial trace. A node landing in more than two round-sets is likewise a
-    hard error.
+    silently truncated. Running out of rounds raises RoundBudgetError with the
+    partial trace, and a node landing in more than two round-sets
+    InternalInvariantError with the full one.
     """
     _check_floodable(g, source)
-    return _run(g, source, max_rounds)
+    inboxes = _flood(g, source, max_rounds)[0]
+    return _trace(g, source, inboxes, len(inboxes) - 1)
 
 
 def _check_floodable(g: Graph, source: int) -> None:
@@ -132,43 +168,57 @@ def _check_floodable(g: Graph, source: int) -> None:
         raise DisconnectedGraphError("flooding needs a connected graph")
 
 
-def _run(g: Graph, source: int, max_rounds: int | None = None) -> Trace:
-    """run_sync on a graph the caller has already proved connected."""
+class Receipts(NamedTuple):
+    """Each node's first and second receipt round (None when missing) and
+    its number of receipts."""
+
+    first: list[int | None]
+    second: list[int | None]
+    count: list[int]
+
+
+def _receipts(n: int, round_sets) -> Receipts:
+    """The Receipts of the nodes 0..n-1 over ``round_sets``, the nodes
+    receiving in each round from round 0 on, in one pass."""
+    first: list[int | None] = [None] * n
+    second: list[int | None] = [None] * n
+    count = [0] * n
+    for t, nodes in enumerate(round_sets):
+        for v in nodes:
+            c = count[v]
+            if c == 0:
+                first[v] = t
+            elif c == 1:
+                second[v] = t
+            count[v] = c + 1
+    return Receipts(first, second, count)
+
+
+def _flood(g: Graph, source: int,
+           max_rounds: int | None = None) -> tuple[list[Inbox], Receipts]:
+    """The inbox of every round of a run from ``source``, from round 0 to the
+    termination round, and the run's receipts, on a graph the caller has
+    already proved connected. The errors run_sync documents carry the Trace,
+    built only then."""
     if max_rounds is None:
         max_rounds = 2 * g.n + 2
-
-    cur: Configuration = frozenset((source, w) for w in g.adj[source])
-    rounds: list[Configuration] = []
-    round_sets: list[frozenset[int]] = [frozenset((source,))]
-    counts = [0] * g.n
-    counts[source] = 1
-    while cur:
-        if len(rounds) >= max_rounds:
-            partial = Trace(g.n, source, tuple(rounds), tuple(round_sets), None)
-            raise RoundBudgetError(
-                f"still active after {max_rounds} rounds on n={g.n}", partial)
-        rounds.append(cur)
-        try:
-            receivers, cur = _forward(g, cur)
-        except InternalInvariantError as exc:
-            exc.trace = Trace(g.n, source, tuple(rounds), tuple(round_sets), None)
-            raise
-        round_sets.append(receivers)
-        for v in receivers:
-            counts[v] += 1
-
-    trace = Trace(g.n, source, tuple(rounds), tuple(round_sets), len(rounds))
-    most = max(counts)
+    inboxes: list[Inbox] = [{source: 0}]
+    inbox = {w: 1 << i for w, i in zip(g.adj[source], g.rev[source])}
+    while inbox:
+        if len(inboxes) > max_rounds:
+            raise RoundBudgetError(f"still active after {max_rounds} rounds on n={g.n}",
+                                   _trace(g, source, inboxes, None))
+        inboxes.append(inbox)
+        inbox = _forward(g, inbox)
+    receipts = _receipts(g.n, inboxes)
+    most = max(receipts.count)
     if most > 2:
         raise InternalInvariantError(
-            f"node {counts.index(most)} received in {most} distinct round-sets", trace)
-    return trace
+            f"node {receipts.count.index(most)} received in {most} distinct round-sets",
+            _trace(g, source, inboxes, len(inboxes) - 1))
+    return inboxes, receipts
 
 
 def round_multiplicity(trace: Trace) -> dict[int, int]:
     """Number of distinct round-sets containing each node."""
-    counts = {v: 0 for v in range(trace.n)}
-    for rs in trace.round_sets:
-        for v in rs:
-            counts[v] += 1
-    return counts
+    return dict(enumerate(_receipts(trace.n, trace.round_sets).count))

@@ -11,12 +11,12 @@ from amflood import sync_engine
 from amflood.analysis import (AUDIT_CHECKS, BIPARTITE_EXACT, NONBIPARTITE_WINDOW,
                               _GraphContext, analyze, audit_trace, classify,
                               connected_graphs, find_sharp_example, sweep)
-from amflood.graph import (diameter, distance_profile, ec_nodes, gen_named,
+from amflood.graph import (diameter, distance_profile, gen_named,
                            is_bipartite, parse_edge_list)
 from amflood.jsonio import dumps_stable
 from amflood.sync_engine import round_multiplicity, run_sync
 
-from conftest import connected_graph
+from conftest import arcs_to_masks, connected_graph, masks_to_arcs
 
 TRIANGLE = parse_edge_list("a b\nb c\nc a")
 
@@ -117,12 +117,12 @@ def test_graph_context_matches_public_oracles():
             for s in range(n):
                 trace = run_sync(g, s)
                 audit = dumps_stable(audit_trace(g, s, trace).to_json_obj())
+                run = sync_engine._flood(g, s)
                 for ctx in (full, _GraphContext(g, (s,))):
                     assert ctx.diameter == full.diameter
                     assert ctx.bipartite == full.bipartite
                     assert ctx.eccentricity(s) == distance_profile(g, s).eccentricity
-                    assert ctx.ec(s) == ec_nodes(g, s)
-                    assert dumps_stable(ctx.audit(s, trace).to_json_obj()) == audit
+                    assert dumps_stable(ctx.audit(s, *run).to_json_obj()) == audit
 
 
 # -------------------------------------------------------------------- sweep
@@ -169,9 +169,9 @@ def test_sweep_reports_a_faulty_kernel(monkeypatch):
     # the check and carrying the trace.
     forward = sync_engine._forward
 
-    def dropping(g, config):
-        receivers, out = forward(g, config)
-        return receivers, (out - {max(out)} if out else out)
+    def dropping(g, inbox):
+        out = masks_to_arcs(g, forward(g, inbox))
+        return arcs_to_masks(g, out - {max(out)} if out else out)
 
     monkeypatch.setattr(sync_engine, "_forward", dropping)
     s = sweep(4, jobs=1)
@@ -187,24 +187,23 @@ def test_sweep_reports_a_faulty_kernel(monkeypatch):
     assert _digest(s) == "c2d733c95f4f8e015f13f7500d57828bfdc3a007c9e648c0f0fce194c1a6700e"
 
 
-def test_sweep_keeps_the_trace_of_a_non_edge_arc(monkeypatch):
-    # A kernel that sends on the non-edge (0, 0) trips the in-flight-arc check
-    # in every run; each violation must carry the partial trace up to it.
-    forward = sync_engine._forward
+def test_sweep_keeps_the_trace_of_a_mid_run_error(monkeypatch):
+    # A kernel that answers every send with its reverse never drains, so
+    # every run stops in the middle at the 2n+2 guard; each violation must
+    # carry the partial trace up to it.
+    def bouncing(g, inbox):
+        return arcs_to_masks(g, {(v, u) for u, v in masks_to_arcs(g, inbox)})
 
-    def looping(g, config):
-        receivers, out = forward(g, config)
-        return receivers, out | {(0, 0)}
-
-    monkeypatch.setattr(sync_engine, "_forward", looping)
+    monkeypatch.setattr(sync_engine, "_forward", bouncing)
     s = sweep(3, jobs=1)
     assert len(s.violations) == s.runs == 14
     for v in s.violations:
         assert v.check == "engine_invariant"
-        assert v.detail == "in-flight arc (0, 0) is not an edge"
+        assert v.detail == f"still active after {2 * v.n + 2} rounds on n={v.n}"
         assert v.trace is not None
         assert v.trace["termination_round"] is None
-        assert [0, 0] in v.trace["rounds"][-1]
+        assert len(v.trace["rounds"]) == 2 * v.n + 2
+        assert v.trace["rounds"][-1] == sorted([w, u] for u, w in v.trace["rounds"][-2])
 
 
 class _PoolStarted(Exception):

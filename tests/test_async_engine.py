@@ -11,10 +11,10 @@ from amflood.async_engine import (Adversary, AsyncRound,
                                   HoldSecondSenderAdversary, OUTCOME_CYCLE,
                                   OUTCOME_EXHAUSTED, OUTCOME_TERMINATED,
                                   UnfairScheduleError, ZeroDelayAdversary,
-                                  run_async)
+                                  _execute_round, run_async)
 from amflood.graph import gen_named, parse_edge_list
 from amflood.jsonio import dumps_stable
-from amflood.sync_engine import run_sync
+from amflood.sync_engine import InternalInvariantError, run_sync
 
 from conftest import connected_graph
 
@@ -135,6 +135,13 @@ class _Stubborn(Adversary):
 def test_holding_past_cap_is_rejected():
     with pytest.raises(UnfairScheduleError):
         run_async(TRIANGLE, 1, _Stubborn(), hold_cap=1)
+
+
+def test_round_rejects_a_non_edge_message():
+    # the arcs-to-masks boundary catches it before the kernel runs
+    with pytest.raises(InternalInvariantError,
+                       match=r"^in-flight arc \(0, 3\) is not an edge$"):
+        _execute_round(gen_named("path", 4), frozenset({(0, 3, 0)}), frozenset(), 1)
 
 
 def test_holding_unknown_arc_is_rejected():

@@ -14,6 +14,8 @@ from amflood import async_engine, cli, sync_engine
 from amflood.analysis import connected_graphs
 from amflood.sync_engine import InternalInvariantError
 
+from conftest import arcs_to_masks, masks_to_arcs
+
 
 def _run(capsys, *argv):
     code = cli.main(list(argv))
@@ -143,9 +145,17 @@ def test_bad_seed_variable_is_named(capsys, monkeypatch):
     ("run", "--named", "cycle:5", "--source", "0", "--mode", "nope"),
     ("run", "--named", "cycle:5", "--source", "0", "--mode", "async:zero,x"),
     ("run", "--named", "cycle:5", "--source", "0", "--mode", "async:zero,0"),
+    ("run", "--named", "", "--source", "0"),
+    ("run", "--named", "cycle:5"),
+    ("run", "--named", "cycle:5", "--source", "0", "--max-rounds", "x"),
+    ("sweep", "--n-max", "3", "--bogus"),
 ])
 def test_input_errors_exit_two(capsys, argv):
-    code, out, err = _run(capsys, *argv)
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse reports usage errors by exiting
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == cli.EXIT_INPUT_ERROR
     assert out == ""
     assert len(err.strip().splitlines()) == 1
@@ -216,6 +226,40 @@ def test_unwritable_out_exits_two(tmp_path, capsys, command, target):
     assert out == ""
     assert err.startswith(f"{prog}: cannot write {out_path}: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("the computation started before --out was opened")
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (("sweep", "--n-max", "7"), "analysis", "sweep"),
+    (("run", "--named", "cycle:5", "--source", "0"), "cli", "run_sync"),
+    (("run", "--named", "cycle:5", "--source", "0", "--mode", "async:zero"),
+     "async_engine", "run_async"),
+    (("analyze", "--named", "cycle:5", "--source", "0"), "analysis", "analyze"),
+])
+def test_unwritable_out_fails_before_the_computation(tmp_path, capsys, monkeypatch,
+                                                     argv, module, name):
+    monkeypatch.setattr({"cli": cli, "analysis": cli.analysis,
+                         "async_engine": async_engine}[module], name, _not_called)
+    code, out, err = _run(capsys, *argv, "--out", str(tmp_path))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith(f"amflood: cannot write {tmp_path}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_run_sweep_script_opens_out_before_the_sweep(tmp_path):
+    # the n=7 sweep takes minutes, so only an early failure meets the timeout
+    root = Path(cli.__file__).resolve().parents[2]
+    res = subprocess.run([sys.executable, str(root / "scripts" / "run_sweep.py"),
+                          "--n-max", "7", "--out", str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": str(root / "src")},
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"run_sweep.py: cannot write {tmp_path}: ")
+    assert len(res.stderr.strip().splitlines()) == 1
 
 
 def test_disconnected_graph_exits_two(tmp_path, capsys):
@@ -294,11 +338,9 @@ def test_non_positive_budget_or_jobs_exits_two(capsys, argv):
 def test_default_guard_breach_stays_internal_error(capsys, monkeypatch):
     # A kernel that bounces every arc back never drains; without a user
     # budget that is an engine bug, not an exhausted budget.
-    def bouncing(g, config):
-        receivers, _ = forward(g, config)
-        return receivers, frozenset((v, u) for u, v in config)
+    def bouncing(g, inbox):
+        return arcs_to_masks(g, {(v, u) for u, v in masks_to_arcs(g, inbox)})
 
-    forward = sync_engine._forward
     monkeypatch.setattr(sync_engine, "_forward", bouncing)
     with pytest.raises(InternalInvariantError, match="still active after 12 rounds"):
         cli.main(["run", "--named", "cycle:5", "--source", "0"])

@@ -226,7 +226,7 @@ def test_bipartite_petersen_odd_cycle_witness():
     assert len(cyc) % 2 == 1 and len(cyc) >= 3
     for i, u in enumerate(cyc):
         v = cyc[(i + 1) % len(cyc)]
-        assert (min(u, v), max(u, v)) in g.edge_set
+        assert (min(u, v), max(u, v)) in g.edges
 
 
 def test_ec_nodes_even_cycle_empty():
@@ -292,7 +292,7 @@ def test_bipartite_witness_is_valid(g):
     assert len(set(cyc)) == len(cyc)
     for i, u in enumerate(cyc):
         v = cyc[(i + 1) % len(cyc)]
-        assert (min(u, v), max(u, v)) in g.edge_set
+        assert (min(u, v), max(u, v)) in g.edges
 
 
 @settings(max_examples=80)

@@ -4,13 +4,14 @@ import gc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amflood import sync_engine
 from amflood.graph import Graph, GraphError, DisconnectedGraphError, gen_named, parse_edge_list
 from amflood.sync_engine import (InternalInvariantError, RoundBudgetError, Trace,
                                  round_multiplicity, run_sync, step)
 
-from conftest import connected_graph
+from conftest import arcs_to_masks, connected_graph, masks_to_arcs
 
 TRIANGLE = parse_edge_list("a b\nb c\nc a")  # a=0, b=1, c=2
 
@@ -32,10 +33,12 @@ def test_step_path_moves_outward():
 
 
 def test_step_rejects_non_edge():
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError,
+                       match=r"^in-flight arc \(0, 0\) is not an edge$"):
         step(TRIANGLE, frozenset({(0, 0)}))
     g = gen_named("path", 4)
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError,
+                       match=r"^in-flight arc \(0, 3\) is not an edge$"):
         step(g, frozenset({(0, 3)}))
 
 
@@ -111,12 +114,12 @@ def test_receipt_multiplicity_guard_fires(monkeypatch):
     forward = sync_engine._forward
     calls = []
 
-    def bouncing(g, config):
-        receivers, out = forward(g, config)
-        calls.append(config)
+    def bouncing(g, inbox):
+        out = masks_to_arcs(g, forward(g, inbox))
+        calls.append(inbox)
         if len(calls) <= 3:
-            out = out | {(v, u) for u, v in config}
-        return receivers, out
+            out = out | {(v, u) for u, v in masks_to_arcs(g, inbox)}
+        return arcs_to_masks(g, out)
 
     monkeypatch.setattr(sync_engine, "_forward", bouncing)
     with pytest.raises(InternalInvariantError,
@@ -236,3 +239,74 @@ def test_trace_json_shape():
     assert obj["round_sets"][0] == [1]
     for rnd in obj["rounds"]:
         assert rnd == sorted(rnd)  # arc lists sorted for byte-stable output
+
+
+# ------------------------------------------- the mask kernel, independently
+
+def _double_cover_layers(g, source):
+    """Round-sets by the double cover: R_t is the set of nodes v whose copy
+    (v, t mod 2) lies at distance t from (source, 0) in G x K2."""
+    dist = {(source, 0): 0}
+    frontier = [(source, 0)]
+    layers = [{source}]
+    while frontier:
+        nxt = []
+        for v, side in frontier:
+            for w in g.adj[v]:
+                if (w, 1 - side) not in dist:
+                    dist[w, 1 - side] = len(layers)
+                    nxt.append((w, 1 - side))
+        if nxt:
+            layers.append({v for v, _ in nxt})
+        frontier = nxt
+    return [frozenset(layer) for layer in layers]
+
+
+def _arc_rounds(g, source):
+    """Every round's sends by the arc-set rule: each receiver sends to every
+    neighbour that did not just send to it."""
+    config = frozenset((source, w) for w in g.adj[source])
+    rounds = []
+    while config:
+        rounds.append(config)
+        senders: dict[int, set[int]] = {}
+        for u, v in config:
+            senders.setdefault(v, set()).add(u)
+        config = frozenset((v, w) for v, us in senders.items()
+                           for w in g.adj[v] if w not in us)
+    return rounds
+
+
+def _check_against_references(g, source):
+    trace = run_sync(g, source)
+    assert list(trace.round_sets) == _double_cover_layers(g, source)
+    assert list(trace.rounds) == _arc_rounds(g, source)
+    for config, nxt in zip(trace.rounds, trace.rounds[1:] + (frozenset(),)):
+        assert step(g, config) == nxt
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graph(max_n=40, max_extra=60), st.data())
+def test_kernel_matches_double_cover_and_arc_rule(g, data):
+    _check_against_references(g, data.draw(st.integers(0, g.n - 1)))
+
+
+def test_kernel_matches_references_on_a_long_ladder():
+    # 10^4 nodes in 5,000 rungs, each square split by a diagonal whose
+    # direction alternates; flooding from a corner runs 5,000 rounds.
+    n = 10_000
+    edges = []
+    for i in range(0, n, 2):
+        edges.append((i, i + 1))
+        if i + 2 < n:
+            edges += [(i, i + 2), (i + 1, i + 3), (i, i + 3) if i % 4 else (i + 1, i + 2)]
+    _check_against_references(Graph.from_edges(n, edges), 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graph(max_n=40, max_extra=60))
+def test_reverse_positions_point_back(g):
+    for v, nbrs in enumerate(g.adj):
+        assert len(g.rev[v]) == len(nbrs)
+        for i, w in enumerate(nbrs):
+            assert g.adj[w][g.rev[v][i]] == v
