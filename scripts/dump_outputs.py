@@ -8,6 +8,7 @@ The corpus: the sweep summary JSON for every n_max <= 6 with one and with
 two workers; the sharpness search for (8), (5), (4, target (2, 5)) and
 (6, target (3, 3)); CLI ``run`` in the sync, ``async:zero`` and
 ``async:fig6`` modes and ``analyze`` from every source of each graph below;
+sync ``run`` on one larger random graph, in full and cut by ``--max-rounds``;
 and the input-error cases. A CLI file holds stdout, then ``exit=CODE``,
 then stderr. Exit code 2 on a bad argument.
 """
@@ -31,6 +32,9 @@ GRAPHS = [
     ("--named", "cycle:5", 5), ("--named", "cycle:6", 6), ("--named", "path:4", 4),
     ("--named", "complete:4", 4), ("--random", "16,0.3,42", 16),
 ]
+# A 400-node draw of average degree about 12: hundreds of sends per round,
+# run from node 0 in full and as the partial trace of a 3-round budget.
+LARGE = ("--random", "400,0.03,7", "--source", "0")
 LABELED = "a b\nb c\nc a\nc d\nd e\ne c\n"  # two triangles sharing c
 MODES = ("sync", "async:zero", "async:fig6")
 SHARP = [("8", 8, (2, 4)), ("5", 5, (2, 4)), ("4_2_5", 4, (2, 5)), ("6_3_3", 6, (3, 3))]
@@ -88,6 +92,8 @@ def main() -> int:
                     files[f"cli/{label}/run_{mode}_s{source}.txt"] = _cli(
                         ("run", *base, "--mode", mode))
                 files[f"cli/{label}/analyze_s{source}.txt"] = _cli(("analyze", *base))
+    files["cli/random_400/run_sync_s0.txt"] = _cli(("run", *LARGE))
+    files["cli/random_400/run_sync_max3_s0.txt"] = _cli(("run", *LARGE, "--max-rounds", "3"))
     for i, argv in enumerate(INPUT_ERRORS):
         files[f"errors/{i:02d}_{argv[0]}.txt"] = " ".join(argv) + "\n" + _cli(argv)
     for name, text in files.items():

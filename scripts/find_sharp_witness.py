@@ -7,15 +7,15 @@ Exit code 1 when the target witness is not found, 2 on a bad argument.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from amflood.analysis import find_sharp_example
+from amflood.cli import _Parser
 from amflood.jsonio import dumps_stable
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--n-max", type=int, default=8, help="largest node count (2..8)")
     ap.add_argument("--eccentricity", type=int, default=2,
                     help="target source eccentricity")

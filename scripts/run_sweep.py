@@ -8,17 +8,17 @@ unwritable --out, which is opened before the sweep starts.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import sys
 import time
 
 from amflood.analysis import check_sweep_args, sweep
+from amflood.cli import _Parser
 from amflood.jsonio import dumps_stable
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--n-max", type=int, default=6, help="largest node count (2..7)")
     ap.add_argument("--jobs", type=int, default=1, help="parallel workers")
     ap.add_argument("--out", default=None, help="write JSON here instead of stdout")

@@ -13,13 +13,13 @@ import multiprocessing
 import os
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import (Edge, Graph, _bfs, distance_profile, gen_named, is_bipartite,
-                    is_connected)
+from .graph import Edge, Graph, _bfs, distance_profile, gen_named, is_bipartite
 from .sync_engine import (Inbox, InternalInvariantError, Receipts, Trace, _acyclic,
-                          _check_floodable, _flood, _inbox, _receipts, _trace)
+                          _check_floodable, _flood, _receipts)
 
 BIPARTITE_EXACT = "bipartite_exact"
 NONBIPARTITE_WINDOW = "nonbipartite_window"
@@ -110,14 +110,12 @@ _ALL_PASSED = TraceAudit(tuple(_PASSED.values()))
 
 @_acyclic
 def audit_trace(g: Graph, source: int, trace: Trace) -> TraceAudit:
-    """Audit a trace produced by run_sync(g, source)."""
+    """Audit a trace produced by run_sync(g, source). Raises ValueError for
+    a trace of another graph."""
+    if trace.graph != g:
+        raise ValueError("trace was recorded on another graph")
     dist = list(distance_profile(g, source).dist)
-    # The audit reads a node's inbox only in the round of its distance, so
-    # only the sends into those nodes cross into masks.
-    inboxes = [{}]
-    inboxes.extend(_inbox(g, [arc for arc in config if dist[arc[1]] == t])
-                   for t, config in enumerate(trace.rounds, 1))
-    return _audit(g, inboxes, _receipts(g.n, trace.round_sets), dist, _edge_bits(g))
+    return _audit(g, trace.inboxes, _receipts(g.n, trace.inboxes), dist, _edge_bits(g))
 
 
 def _edge_bits(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
@@ -131,7 +129,7 @@ def _edge_bits(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(bits)
 
 
-def _audit(g: Graph, inboxes: list[Inbox], receipts: Receipts, dist: list[int],
+def _audit(g: Graph, inboxes: Sequence[Inbox], receipts: Receipts, dist: list[int],
            edge_bits) -> TraceAudit:
     """The five checks of a run against the BFS distances ``dist`` around its
     source: ``inboxes[t]`` holds the inbox of round t of every node at
@@ -240,17 +238,18 @@ class _GraphContext:
     once: one BFS row per node gives the diameter, and the rows of
     ``sources`` are kept for their eccentricities and audits; the other rows
     are dropped, so a single-source caller holds O(n+m), not an n x n table.
-    Bipartiteness comes from the independent coloring oracle, once."""
+    Bipartiteness comes from the independent coloring oracle, once. A caller
+    that already has node 0's row passes it as ``row0``."""
 
     __slots__ = ("g", "rows", "diameter", "bipartite", "edge_bits")
 
-    def __init__(self, g: Graph, sources):
+    def __init__(self, g: Graph, sources, row0: list[int] | None = None):
         keep = set(sources)
         self.g = g
         self.rows: dict[int, list[int]] = {}
         diam = 0
         for s in range(g.n):
-            row = _bfs(g, s)
+            row = row0 if s == 0 and row0 is not None else _bfs(g, s)
             diam = max(diam, max(row))
             if s in keep:
                 self.rows[s] = row
@@ -274,18 +273,25 @@ class _GraphContext:
 
 
 def _graphs(n: int, lo: int, hi: int):
-    """Yield, in mask order, the connected graphs on 0..n-1 with edge mask in
-    [lo, hi); bit i of a mask is pair i of ``combinations(range(n), 2)``."""
+    """Yield, in mask order, each connected graph on 0..n-1 with edge mask in
+    [lo, hi) together with its BFS row from node 0, the row that proved it
+    connected; bit i of a mask is pair i of ``combinations(range(n), 2)``."""
     pairs = tuple(combinations(range(n), 2))
     for mask in range(lo, hi):
         g = Graph(n=n, edges=tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
-        if is_connected(g):
-            yield g
+        row = _bfs(g, 0)
+        if min(row) >= 0:
+            yield g, row
+
+
+def _all_graphs(n: int):
+    """``_graphs`` over every edge mask on n nodes."""
+    return _graphs(n, 0, 1 << (n * (n - 1) // 2))
 
 
 def connected_graphs(n: int):
     """Yield every connected simple graph on the labeled vertex set 0..n-1."""
-    return _graphs(n, 0, 1 << (n * (n - 1) // 2))
+    return (g for g, _ in _all_graphs(n))
 
 
 @dataclass(frozen=True)
@@ -346,9 +352,10 @@ class _Tally:
         self.violations.extend(other.violations)
 
 
-def _examine_graph(g: Graph, tally: _Tally) -> None:
-    """All-sources verification of one connected graph, added to ``tally``."""
-    ctx = _GraphContext(g, range(g.n))
+def _examine_graph(g: Graph, row0: list[int], tally: _Tally) -> None:
+    """All-sources verification of one connected graph, whose BFS row from
+    node 0 is ``row0``, added to ``tally``."""
+    ctx = _GraphContext(g, range(g.n), row0)
     diam, bip = ctx.diameter, ctx.bipartite
     tally.graphs += 1
     tally.runs += g.n
@@ -376,7 +383,7 @@ def _examine_graph(g: Graph, tally: _Tally) -> None:
             found.extend((f"audit:{c.name}", c.detail)
                          for c in ctx.audit(source, inboxes, receipts).failures)
             if found:
-                trace = _trace(g, source, inboxes, j)
+                trace = Trace(g, source, tuple(inboxes), j)
         if found:
             dump = trace.to_json_obj() if trace is not None else None
             tally.violations.extend(SweepViolation(g.n, g.edges, source, check, detail,
@@ -385,8 +392,8 @@ def _examine_graph(g: Graph, tally: _Tally) -> None:
 
 def _sweep_block(block: tuple[int, int, int]) -> _Tally:
     tally = _Tally()
-    for g in _graphs(*block):
-        _examine_graph(g, tally)
+    for g, row0 in _graphs(*block):
+        _examine_graph(g, row0, tally)
     return tally
 
 
@@ -513,8 +520,8 @@ def find_sharp_example(n_max: int, target: tuple[int, int] = (2, 4)) -> SharpSea
     frontier: dict[tuple[int, int], SharpWitness] = {}
     n_searched = 0
     for n in range(2, n_max + 1):
-        for g in connected_graphs(n):
-            ctx = _GraphContext(g, range(g.n))
+        for g, row0 in _all_graphs(n):
+            ctx = _GraphContext(g, range(g.n), row0)
             diam = ctx.diameter
             for source in range(g.n):
                 e, j = ctx.eccentricity(source), len(_flood(g, source)[0]) - 1

@@ -10,7 +10,7 @@ configuration, an exact configuration recurrence certifies non-termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import Graph
 from .sync_engine import (Arc, InternalInvariantError, Trace, _acyclic, _arcs,
@@ -103,6 +103,7 @@ class AsyncRound:
 class AsyncVerdict:
     """Outcome of a round-asynchronous run plus its full per-round record."""
 
+    graph: Graph = field(compare=False, repr=False)
     n: int
     source: int
     outcome: str
@@ -132,10 +133,10 @@ class AsyncVerdict:
             raise ValueError(f"run did not terminate (outcome={self.outcome})")
         if any(rec.held for rec in self.rounds):
             raise ValueError("run used holds; it has no synchronous equivalent")
-        rounds = tuple(frozenset((u, v) for u, v, _ in rec.delivered)
-                       for rec in self.rounds)
-        return Trace(self.n, self.source, rounds, self.round_sets,
-                     self.termination_round)
+        g = self.graph
+        inboxes = ({self.source: 0},
+                   *(_inbox(g, ((u, v) for u, v, _ in rec.delivered)) for rec in self.rounds))
+        return Trace(g, self.source, inboxes, self.termination_round)
 
 
 def _execute_round(g: Graph, pool: AsyncConfiguration, hold: frozenset[Arc],
@@ -191,7 +192,7 @@ def run_async(g: Graph, source: int, adversary: Adversary,
     def verdict(outcome: str, termination_round: int | None = None,
                 first_seen: int | None = None, period: int | None = None):
         round_sets = (frozenset((source,)), *(rec.receipts for rec in rounds))
-        return AsyncVerdict(g.n, source, outcome, termination_round, first_seen,
+        return AsyncVerdict(g, g.n, source, outcome, termination_round, first_seen,
                             period, tuple(rounds), round_sets)
 
     seen: dict[AsyncConfiguration, int] = {}

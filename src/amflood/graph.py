@@ -300,6 +300,8 @@ def gen_named(kind: str, param: int | None = None) -> Graph:
     """Build a named graph: hypercube:k, petersen, cycle:n, path:n, complete:n.
 
     Sizes past MAX_NODES or MAX_EDGES are rejected before any edge is made."""
+    if kind not in ("hypercube", "petersen", "cycle", "path", "complete"):
+        raise GraphError(f"unknown named graph {kind!r}")
     if kind == "petersen":
         if param is not None:
             raise GraphError("petersen takes no parameter")
@@ -329,12 +331,11 @@ def gen_named(kind: str, param: int | None = None) -> Graph:
             raise GraphError("path needs n >= 2")
         _check_size(f"path:{param}", param, param - 1)
         return Graph.from_edges(param, ((i, i + 1) for i in range(param - 1)))
-    if kind == "complete":
-        if param < 2:
-            raise GraphError("complete needs n >= 2")
-        _check_size(f"complete:{param}", param, param * (param - 1) // 2)
-        return Graph.from_edges(param, combinations(range(param), 2))
-    raise GraphError(f"unknown named graph {kind!r}")
+    # complete
+    if param < 2:
+        raise GraphError("complete needs n >= 2")
+    _check_size(f"complete:{param}", param, param * (param - 1) // 2)
+    return Graph.from_edges(param, combinations(range(param), 2))
 
 
 def _splitmix64(state: int) -> tuple[int, int]:

@@ -54,40 +54,65 @@ class RoundBudgetError(InternalInvariantError):
     """A run was still active when its round budget ran out."""
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Complete record of one synchronous run.
-
-    rounds[i] is the set of directed sends of round i+1. round_sets[i] is the
-    set of nodes receiving in round i, with round_sets[0] the source alone.
-    termination_round is the index of the last non-empty round-set, or None
-    for the partial trace of a run that did not finish.
-    """
-
-    n: int
-    source: int
-    rounds: tuple[Configuration, ...]
-    round_sets: tuple[frozenset[int], ...]
-    termination_round: int | None
-
-    @property
-    def total_sends(self) -> int:
-        return sum(len(c) for c in self.rounds)
-
-    @_acyclic
-    def to_json_obj(self) -> dict:
-        return {
-            "source": self.source,
-            "rounds": [[[u, v] for u, v in sorted(c)] for c in self.rounds],
-            "round_sets": [sorted(rs) for rs in self.round_sets],
-            "termination_round": self.termination_round,
-        }
-
-
 # A round's inbox maps each node receiving in it to the mask of positions in
 # its sorted adjacency list whose neighbours just sent to it. Round 0's inbox
 # is {source: 0}: the source hears from nobody, so it sends to everyone.
 Inbox = dict[int, int]
+
+
+@dataclass(frozen=True)
+class Trace:
+    """Complete record of one synchronous run, kept as the kernel left it.
+
+    inboxes[t] is the inbox of round t, with inboxes[0] = {source: 0}.
+    rounds[i] is the set of directed sends of round i+1 and round_sets[i] the
+    set of nodes receiving in round i; both are derived on first use.
+    termination_round is the index of the last non-empty round-set, or None
+    for the partial trace of a run that did not finish.
+    """
+
+    graph: Graph
+    source: int
+    inboxes: tuple[Inbox, ...]
+    termination_round: int | None
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @functools.cached_property
+    def rounds(self) -> tuple[Configuration, ...]:
+        return tuple(frozenset(_arcs(self.graph, ib)) for ib in self.inboxes[1:])
+
+    @functools.cached_property
+    def round_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.inboxes))
+
+    @property
+    def total_sends(self) -> int:
+        return sum(sum(map(int.bit_count, ib.values())) for ib in self.inboxes)
+
+    @_acyclic
+    def to_json_obj(self) -> dict:
+        adj, rev = self.graph.adj, self.graph.rev
+        rounds = []
+        for prev, inbox in zip(self.inboxes, self.inboxes[1:]):
+            # The senders of round t received in round t-1: walking them in
+            # id order over their sorted lists yields the sends sorted.
+            get = inbox.get
+            sends = [[u, v] for u in sorted(prev)
+                     for v, b in zip(adj[u], rev[u]) if get(v, 0) >> b & 1]
+            if len(sends) < sum(map(int.bit_count, inbox.values())):
+                # a send whose sender did not receive the round before: only
+                # a broken kernel records one
+                sends = [[u, v] for u, v in sorted(_arcs(self.graph, inbox))]
+            rounds.append(sends)
+        return {
+            "source": self.source,
+            "rounds": rounds,
+            "round_sets": [sorted(ib) for ib in self.inboxes],
+            "termination_round": self.termination_round,
+        }
 
 
 def _forward(g: Graph, inbox: Inbox) -> Inbox:
@@ -132,13 +157,6 @@ def _arcs(g: Graph, inbox: Inbox) -> list[Arc]:
     return arcs
 
 
-def _trace(g: Graph, source: int, inboxes: list[Inbox],
-           termination_round: int | None) -> Trace:
-    """The Trace of a run whose round-t inbox is ``inboxes[t]``."""
-    return Trace(g.n, source, tuple(frozenset(_arcs(g, ib)) for ib in inboxes[1:]),
-                 tuple(map(frozenset, inboxes)), termination_round)
-
-
 def step(g: Graph, config: Configuration) -> Configuration:
     """One synchronous round: receivers of ``config`` forward to everyone who
     did not just send to them. Pure; consults no state besides its arguments."""
@@ -157,7 +175,7 @@ def run_sync(g: Graph, source: int, max_rounds: int | None = None) -> Trace:
     """
     _check_floodable(g, source)
     inboxes = _flood(g, source, max_rounds)[0]
-    return _trace(g, source, inboxes, len(inboxes) - 1)
+    return Trace(g, source, tuple(inboxes), len(inboxes) - 1)
 
 
 def _check_floodable(g: Graph, source: int) -> None:
@@ -207,7 +225,7 @@ def _flood(g: Graph, source: int,
     while inbox:
         if len(inboxes) > max_rounds:
             raise RoundBudgetError(f"still active after {max_rounds} rounds on n={g.n}",
-                                   _trace(g, source, inboxes, None))
+                                   Trace(g, source, tuple(inboxes), None))
         inboxes.append(inbox)
         inbox = _forward(g, inbox)
     receipts = _receipts(g.n, inboxes)
@@ -215,10 +233,10 @@ def _flood(g: Graph, source: int,
     if most > 2:
         raise InternalInvariantError(
             f"node {receipts.count.index(most)} received in {most} distinct round-sets",
-            _trace(g, source, inboxes, len(inboxes) - 1))
+            Trace(g, source, tuple(inboxes), len(inboxes) - 1))
     return inboxes, receipts
 
 
 def round_multiplicity(trace: Trace) -> dict[int, int]:
     """Number of distinct round-sets containing each node."""
-    return dict(enumerate(_receipts(trace.n, trace.round_sets).count))
+    return dict(enumerate(_receipts(trace.n, trace.inboxes).count))

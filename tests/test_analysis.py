@@ -101,6 +101,14 @@ def test_audit_random_graphs(g):
         assert audit_trace(g, source, run_sync(g, source)).all_ok
 
 
+def test_audit_trace_rejects_a_trace_of_another_graph():
+    trace = run_sync(gen_named("cycle", 5), 0)
+    with pytest.raises(ValueError, match="^trace was recorded on another graph$"):
+        audit_trace(gen_named("path", 5), 0, trace)
+    # an equal graph built separately is the same graph
+    assert audit_trace(gen_named("cycle", 5), 0, trace).all_ok
+
+
 def test_analyze_combines_both_views():
     rep, audit = analyze(gen_named("petersen"), 4)
     assert rep.window_ok and audit.all_ok

@@ -209,6 +209,24 @@ def test_scripts_exit_two_on_bad_arguments(script, args):
     assert len(res.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("script, args, message", [
+    ("run_sweep.py", ["--n-max", "x"], "argument --n-max: invalid int value: 'x'"),
+    ("find_sharp_witness.py", ["--diameter"], "argument --diameter: expected one argument"),
+])
+def test_script_usage_errors_are_one_line(script, args, message):
+    res = _run_script(script, *args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"{script}: error: {message}\n"
+
+
+def test_empty_named_graph_is_reported_as_unknown(capsys):
+    code, out, err = _run(capsys, "run", "--named", "", "--source", "0")
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == "amflood: unknown named graph ''\n"
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "run_sweep.py"])
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])
 def test_unwritable_out_exits_two(tmp_path, capsys, command, target):

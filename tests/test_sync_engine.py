@@ -149,12 +149,12 @@ def test_run_sync_pauses_the_collector(monkeypatch):
 def test_trace_json_pauses_the_collector():
     seen = []
 
-    class Probe(frozenset):
+    class Probe(dict):
         def __iter__(self):
             seen.append(gc.isenabled())
             return super().__iter__()
 
-    trace = Trace(2, 0, (Probe({(0, 1)}),), (Probe({0}), Probe({1})), 1)
+    trace = Trace(gen_named("path", 2), 0, (Probe({0: 0}), Probe({1: 1})), 1)
     assert trace.to_json_obj()["round_sets"] == [[0], [1]]
     assert seen == [False, False, False]
     assert gc.isenabled()
@@ -213,6 +213,27 @@ def test_exhaustive_small_graphs_terminate():
 
 def _apply_automorphism(trace_rounds, pi):
     return [frozenset((pi[u], pi[v]) for u, v in c) for c in trace_rounds]
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graph())
+def test_trace_json_and_sends_agree_with_the_derived_rounds(g):
+    for source in range(g.n):
+        trace = run_sync(g, source)
+        assert trace.to_json_obj()["rounds"] == [[list(a) for a in sorted(c)]
+                                                 for c in trace.rounds]
+        assert trace.total_sends == sum(map(len, trace.rounds))
+
+
+def test_trace_json_lists_a_send_with_no_sender_the_round_before():
+    # On the path 0-1-2 from 0, round 1 also records the send 1 -> 2,
+    # although 1 received nothing in round 0.
+    g = gen_named("path", 3)
+    trace = Trace(g, 0, ({0: 0}, {1: 0b01, 2: 0b1}, {2: 0b1}), 2)
+    obj = trace.to_json_obj()
+    assert obj["rounds"] == [[[0, 1], [1, 2]], [[1, 2]]]
+    assert obj["round_sets"] == [[0], [1, 2], [2]]
+    assert trace.total_sends == 3
 
 
 def test_trace_equivariance_cycle_reflection():
