@@ -9,6 +9,7 @@ two workers; the sharpness search for (8), (5), (4, target (2, 5)) and
 (6, target (3, 3)); CLI ``run`` in the sync, ``async:zero`` and
 ``async:fig6`` modes and ``analyze`` from every source of each graph below;
 sync ``run`` on one larger random graph, in full and cut by ``--max-rounds``;
+``run`` in each mode and ``analyze`` from node 0 of a disconnected edge list;
 and the input-error cases. A CLI file holds stdout, then ``exit=CODE``,
 then stderr. Exit code 2 on a bad argument.
 """
@@ -36,6 +37,7 @@ GRAPHS = [
 # run from node 0 in full and as the partial trace of a 3-round budget.
 LARGE = ("--random", "400,0.03,7", "--source", "0")
 LABELED = "a b\nb c\nc a\nc d\nd e\ne c\n"  # two triangles sharing c
+TWO_PARTS = "0 1\n2 3\n"  # disconnected: every command rejects it
 MODES = ("sync", "async:zero", "async:fig6")
 SHARP = [("8", 8, (2, 4)), ("5", 5, (2, 4)), ("4_2_5", 4, (2, 5)), ("6_3_3", 6, (3, 3))]
 INPUT_ERRORS = [
@@ -92,6 +94,12 @@ def main() -> int:
                     files[f"cli/{label}/run_{mode}_s{source}.txt"] = _cli(
                         ("run", *base, "--mode", mode))
                 files[f"cli/{label}/analyze_s{source}.txt"] = _cli(("analyze", *base))
+        two_parts = Path(tmp) / "two_parts.edges"
+        two_parts.write_text(TWO_PARTS)
+        base = ("--graph", str(two_parts), "--source", "0")
+        for mode in MODES:
+            files[f"cli/graph_two_parts/run_{mode}_s0.txt"] = _cli(("run", *base, "--mode", mode))
+        files["cli/graph_two_parts/analyze_s0.txt"] = _cli(("analyze", *base))
     files["cli/random_400/run_sync_s0.txt"] = _cli(("run", *LARGE))
     files["cli/random_400/run_sync_max3_s0.txt"] = _cli(("run", *LARGE, "--max-rounds", "3"))
     for i, argv in enumerate(INPUT_ERRORS):

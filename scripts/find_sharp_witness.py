@@ -2,7 +2,8 @@
 """Search small graphs for runs attaining the worst-case termination round
 e + d + 1 and print the witnesses as JSON.
 
-Exit code 1 when the target witness is not found, 2 on a bad argument.
+Exit code 1 when the target witness is not found, 2 on a bad argument or a
+failed write.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ from __future__ import annotations
 import sys
 
 from amflood.analysis import find_sharp_example
-from amflood.cli import _Parser
-from amflood.jsonio import dumps_stable
+from amflood.cli import _emit, _Parser
 
 
 def main() -> int:
@@ -25,10 +25,10 @@ def main() -> int:
     try:
         result = find_sharp_example(args.n_max,
                                     target=(args.eccentricity, args.diameter))
+        _emit(sys.stdout, result.to_json_obj())
     except ValueError as exc:
         print(f"{ap.prog}: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(dumps_stable(result.to_json_obj()))
     return 0 if result.target is not None else 1
 
 

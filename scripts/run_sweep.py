@@ -3,18 +3,16 @@
 
 Exit code 1 when any violation is recorded (each violation carries the
 counterexample graph, source, and trace), 2 on a bad argument or an
-unwritable --out, which is opened before the sweep starts.
+unwritable --out, which is opened before the sweep starts, or a failed write.
 """
 
 from __future__ import annotations
 
-import contextlib
 import sys
 import time
 
 from amflood.analysis import check_sweep_args, sweep
-from amflood.cli import _Parser
-from amflood.jsonio import dumps_stable
+from amflood.cli import _emit, _output, _Parser
 
 
 def main() -> int:
@@ -26,23 +24,14 @@ def main() -> int:
 
     try:
         check_sweep_args(args.n_max, args.jobs)
-        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        with _output(args.out) as fh:
+            t0 = time.perf_counter()
+            summary = sweep(args.n_max, jobs=args.jobs)
+            elapsed = time.perf_counter() - t0
+            _emit(fh, summary.to_json_obj())
     except ValueError as exc:
         print(f"{ap.prog}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"{ap.prog}: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
-    t0 = time.perf_counter()
-    with out as fh:
-        summary = sweep(args.n_max, jobs=args.jobs)
-        elapsed = time.perf_counter() - t0
-        try:
-            fh.write(dumps_stable(summary.to_json_obj()))
-            fh.flush()
-        except OSError as exc:
-            print(f"{ap.prog}: cannot write {fh.name}: {exc}", file=sys.stderr)
-            return 2
     print(f"n_max={args.n_max}: {summary.graphs} graphs, {summary.runs} runs, "
           f"{len(summary.violations)} violations, {elapsed:.1f}s", file=sys.stderr)
     return 0 if not summary.violations else 1

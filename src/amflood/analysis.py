@@ -57,9 +57,7 @@ def _window_ok(j: int, e: int, diam: int, bipartite: bool) -> bool:
 
 def classify(g: Graph, source: int) -> ClassificationReport:
     """Run the synchronous engine and place the outcome in its termination window."""
-    _check_floodable(g, source)
-    j = len(_flood(g, source)[0]) - 1
-    return _GraphContext(g, (source,)).classify(source, j)
+    return analyze(g, source)[0]
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,11 @@ _ALL_PASSED = TraceAudit(tuple(_PASSED.values()))
 @_acyclic
 def audit_trace(g: Graph, source: int, trace: Trace) -> TraceAudit:
     """Audit a trace produced by run_sync(g, source). Raises ValueError for
-    a trace of another graph."""
+    a trace of another graph or from another source."""
     if trace.graph != g:
         raise ValueError("trace was recorded on another graph")
+    if trace.source != source:
+        raise ValueError(f"trace was recorded from source {trace.source}, not {source}")
     dist = list(distance_profile(g, source).dist)
     return _audit(g, trace.inboxes, _receipts(g.n, trace.inboxes), dist, _edge_bits(g))
 

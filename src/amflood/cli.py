@@ -89,7 +89,8 @@ def _parse_mode(mode: str) -> tuple[str, str | None, int]:
 def _output(out: str | None):
     """The stream the JSON goes to: stdout, or the file ``out``. Commands open
     it once their arguments and graph are valid and before they compute, so
-    an unwritable path fails at once."""
+    an unwritable path fails at once. A failed open or close, like a failed
+    ``_emit``, is a ValueError naming the target; any other error passes."""
     if not out:
         yield sys.stdout
         return
@@ -97,8 +98,18 @@ def _output(out: str | None):
         fh = open(out, "w")
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc}") from None
-    with fh:
+    try:
         yield fh
+    except BaseException:
+        # close() flushes again what a failed _emit left in the buffer; that
+        # OSError must not replace the error in flight. The file closes anyway.
+        with contextlib.suppress(OSError):
+            fh.close()
+        raise
+    try:
+        fh.close()
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from None
 
 
 def _emit(fh, obj) -> None:

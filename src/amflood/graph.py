@@ -234,11 +234,7 @@ class EcReport:
 
 def ec_nodes(g: Graph, source: int) -> EcReport:
     """Exact set of equidistantly-connected nodes with their witness edges."""
-    return _ec_report(g, source, distance_profile(g, source).dist)
-
-
-def _ec_report(g: Graph, source: int, dist) -> EcReport:
-    """ec_nodes from ``dist``, the BFS distances around ``source``."""
+    dist = distance_profile(g, source).dist
     wit = tuple(e for e in g.edges if dist[e[0]] == dist[e[1]])
     members = frozenset(v for e in wit for v in e)
     return EcReport(source, members, wit)

@@ -109,6 +109,12 @@ def test_audit_trace_rejects_a_trace_of_another_graph():
     assert audit_trace(gen_named("cycle", 5), 0, trace).all_ok
 
 
+def test_audit_trace_rejects_a_trace_from_another_source():
+    g = gen_named("cycle", 5)
+    with pytest.raises(ValueError, match="^trace was recorded from source 0, not 1$"):
+        audit_trace(g, 1, run_sync(g, 0))
+
+
 def test_analyze_combines_both_views():
     rep, audit = analyze(gen_named("petersen"), 4)
     assert rep.window_ok and audit.all_ok

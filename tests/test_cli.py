@@ -189,11 +189,11 @@ def test_package_import_reaches_the_modules(tmp_path):
     assert res.stdout.split() == ["sweep", "parse_edge_list", "run_sync", "run_async"]
 
 
-def _run_script(script, *args):
+def _run_script(script, *args, stdout=subprocess.PIPE):
     root = Path(cli.__file__).resolve().parents[2]
     return subprocess.run([sys.executable, str(root / "scripts" / script), *args],
                           env={**os.environ, "PYTHONPATH": str(root / "src")},
-                          capture_output=True, text=True)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 @pytest.mark.parametrize("script, args", [
@@ -227,11 +227,19 @@ def test_empty_named_graph_is_reported_as_unknown(capsys):
     assert err == "amflood: unknown named graph ''\n"
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "run_sweep.py"])
-@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+DEV_FULL = Path("/dev/full")
+needs_dev_full = pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full")
+
+
+@pytest.mark.parametrize("command", ["run", "analyze", "sweep", "run_sweep.py"])
+@pytest.mark.parametrize("target", [
+    "missing_dir", "directory", pytest.param("dev_full", marks=needs_dev_full)])
 def test_unwritable_out_exits_two(tmp_path, capsys, command, target):
-    out_path = tmp_path / "missing" / "x.json" if target == "missing_dir" else tmp_path
+    # dev_full opens but every write fails, so the error surfaces only on flush
+    out_path = {"missing_dir": tmp_path / "missing" / "x.json", "directory": tmp_path,
+                "dev_full": DEV_FULL}[target]
     args = {"run": ["--named", "cycle:3", "--source", "0"],
+            "analyze": ["--named", "cycle:3", "--source", "0"],
             "sweep": ["--n-max", "3"],
             "run_sweep.py": ["--n-max", "3"]}[command] + ["--out", str(out_path)]
     if command == "run_sweep.py":
@@ -243,7 +251,51 @@ def test_unwritable_out_exits_two(tmp_path, capsys, command, target):
     assert code == cli.EXIT_INPUT_ERROR
     assert out == ""
     assert err.startswith(f"{prog}: cannot write {out_path}: ")
-    assert len(err.strip().splitlines()) == 1
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("script, args", [
+    ("find_sharp_witness.py", ["--n-max", "4", "--eccentricity", "1", "--diameter", "1"]),
+    ("run_sweep.py", ["--n-max", "3"]),
+])
+def test_scripts_report_a_failed_stdout_write_in_one_line(script, args):
+    with DEV_FULL.open("w") as full:
+        res = _run_script(script, *args, stdout=full)
+    assert res.returncode == 2
+    assert res.stderr == (f"{script}: cannot write <stdout>: "
+                          "[Errno 28] No space left on device\n")
+
+
+def _spy_open(monkeypatch):
+    """Record every file cli opens."""
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    return opened
+
+
+@needs_dev_full
+def test_failed_write_closes_the_out_file(capsys, monkeypatch):
+    opened = _spy_open(monkeypatch)
+    code, _, _ = _run(capsys, "run", "--named", "cycle:3", "--source", "0",
+                      "--out", str(DEV_FULL))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert [fh.closed for fh in opened] == [True]
+
+
+def test_computation_error_is_not_a_write_error(tmp_path, monkeypatch):
+    # an OSError from the sweep itself propagates as it is, and --out is closed
+    def broken_sweep(*args, **kwargs):
+        raise OSError("no workers")
+    monkeypatch.setattr(cli.analysis, "sweep", broken_sweep)
+    opened = _spy_open(monkeypatch)
+    with pytest.raises(OSError, match="^no workers$"):
+        cli.main(["sweep", "--n-max", "3", "--out", str(tmp_path / "s.json")])
+    assert [fh.closed for fh in opened] == [True]
 
 
 def _not_called(*args, **kwargs):
@@ -280,12 +332,16 @@ def test_run_sweep_script_opens_out_before_the_sweep(tmp_path):
     assert len(res.stderr.strip().splitlines()) == 1
 
 
-def test_disconnected_graph_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ("run",), ("run", "--mode", "async:zero"), ("run", "--max-rounds", "1"), ("analyze",)],
+    ids=["run", "run_async_zero", "run_max_rounds_1", "analyze"])
+def test_disconnected_graph_exits_two(tmp_path, capsys, argv):
     f = tmp_path / "two_parts.edges"
     f.write_text("0 1\n2 3\n")
-    code, _, err = _run(capsys, "run", "--graph", str(f), "--source", "0")
+    code, out, err = _run(capsys, argv[0], "--graph", str(f), "--source", "0", *argv[1:])
     assert code == cli.EXIT_INPUT_ERROR
-    assert "connected" in err
+    assert out == ""
+    assert err == "amflood: flooding needs a connected graph\n"
 
 
 @pytest.mark.parametrize("graph_args", [
