@@ -8,7 +8,8 @@ The corpus: the sweep summary JSON for every n_max <= 6 with one and with
 two workers; the sharpness search for (8), (5), (4, target (2, 5)) and
 (6, target (3, 3)); CLI ``run`` in the sync, ``async:zero`` and
 ``async:fig6`` modes and ``analyze`` from every source of each graph below;
-sync ``run`` on one larger random graph, in full and cut by ``--max-rounds``;
+sync ``run`` on one larger random graph from node 0, in full and cut by
+``--max-rounds``, and ``analyze`` on it from nodes 0 and 17;
 ``run`` in each mode and ``analyze`` from node 0 of a disconnected edge list;
 and the input-error cases. A CLI file holds stdout, then ``exit=CODE``,
 then stderr. Exit code 2 on a bad argument.
@@ -34,8 +35,9 @@ GRAPHS = [
     ("--named", "complete:4", 4), ("--random", "16,0.3,42", 16),
 ]
 # A 400-node draw of average degree about 12: hundreds of sends per round,
-# run from node 0 in full and as the partial trace of a 3-round budget.
-LARGE = ("--random", "400,0.03,7", "--source", "0")
+# run from node 0 in full and as the partial trace of a 3-round budget, and
+# analyzed from two sources, where e, d and the audit are not trivial.
+LARGE = ("--random", "400,0.03,7")
 LABELED = "a b\nb c\nc a\nc d\nd e\ne c\n"  # two triangles sharing c
 TWO_PARTS = "0 1\n2 3\n"  # disconnected: every command rejects it
 MODES = ("sync", "async:zero", "async:fig6")
@@ -100,8 +102,12 @@ def main() -> int:
         for mode in MODES:
             files[f"cli/graph_two_parts/run_{mode}_s0.txt"] = _cli(("run", *base, "--mode", mode))
         files["cli/graph_two_parts/analyze_s0.txt"] = _cli(("analyze", *base))
-    files["cli/random_400/run_sync_s0.txt"] = _cli(("run", *LARGE))
-    files["cli/random_400/run_sync_max3_s0.txt"] = _cli(("run", *LARGE, "--max-rounds", "3"))
+    files["cli/random_400/run_sync_s0.txt"] = _cli(("run", *LARGE, "--source", "0"))
+    files["cli/random_400/run_sync_max3_s0.txt"] = _cli(
+        ("run", *LARGE, "--source", "0", "--max-rounds", "3"))
+    for source in (0, 17):
+        files[f"cli/random_400/analyze_s{source}.txt"] = _cli(
+            ("analyze", *LARGE, "--source", str(source)))
     for i, argv in enumerate(INPUT_ERRORS):
         files[f"errors/{i:02d}_{argv[0]}.txt"] = " ".join(argv) + "\n" + _cli(argv)
     for name, text in files.items():

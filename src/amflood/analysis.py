@@ -17,9 +17,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import Edge, Graph, _bfs, distance_profile, gen_named, is_bipartite
+from .graph import Edge, Graph, _bfs, diameter, distance_profile, gen_named, is_bipartite
 from .sync_engine import (Inbox, InternalInvariantError, Receipts, Trace, _acyclic,
-                          _check_floodable, _flood, _receipts)
+                          _flood, _receipts, run_sync)
 
 BIPARTITE_EXACT = "bipartite_exact"
 NONBIPARTITE_WINDOW = "nonbipartite_window"
@@ -225,51 +225,15 @@ def _audit(g: Graph, inboxes: Sequence[Inbox], receipts: Receipts, dist: list[in
 
 
 def analyze(g: Graph, source: int) -> tuple[ClassificationReport, TraceAudit]:
-    """Classification plus audit for one (graph, source), running the engine once."""
-    _check_floodable(g, source)
-    inboxes, receipts = _flood(g, source)
-    ctx = _GraphContext(g, (source,))
-    return (ctx.classify(source, len(inboxes) - 1),
-            ctx.audit(source, inboxes, receipts))
-
-
-class _GraphContext:
-    """The facts the verdicts need about one connected graph, each computed
-    once: one BFS row per node gives the diameter, and the rows of
-    ``sources`` are kept for their eccentricities and audits; the other rows
-    are dropped, so a single-source caller holds O(n+m), not an n x n table.
-    Bipartiteness comes from the independent coloring oracle, once. A caller
-    that already has node 0's row passes it as ``row0``."""
-
-    __slots__ = ("g", "rows", "diameter", "bipartite", "edge_bits")
-
-    def __init__(self, g: Graph, sources, row0: list[int] | None = None):
-        keep = set(sources)
-        self.g = g
-        self.rows: dict[int, list[int]] = {}
-        diam = 0
-        for s in range(g.n):
-            row = row0 if s == 0 and row0 is not None else _bfs(g, s)
-            diam = max(diam, max(row))
-            if s in keep:
-                self.rows[s] = row
-        self.diameter = diam
-        self.bipartite = is_bipartite(g).bipartite
-        self.edge_bits = None  # built by the first audit
-
-    def eccentricity(self, source: int) -> int:
-        return max(self.rows[source])
-
-    def classify(self, source: int, j: int) -> ClassificationReport:
-        e, bip = self.eccentricity(source), self.bipartite
-        return ClassificationReport(source, bip, e, self.diameter, j,
-                                    _window_ok(j, e, self.diameter, bip),
-                                    BIPARTITE_EXACT if bip else NONBIPARTITE_WINDOW)
-
-    def audit(self, source: int, inboxes: list[Inbox], receipts: Receipts) -> TraceAudit:
-        if self.edge_bits is None:
-            self.edge_bits = _edge_bits(self.g)
-        return _audit(self.g, inboxes, receipts, self.rows[source], self.edge_bits)
+    """Classification plus audit for one (graph, source), running the engine
+    once; e, d and bipartiteness come from the graph oracles."""
+    trace = run_sync(g, source)
+    audit = audit_trace(g, source, trace)
+    e, d = distance_profile(g, source).eccentricity, diameter(g)
+    bip, j = is_bipartite(g).bipartite, trace.termination_round
+    return (ClassificationReport(source, bip, e, d, j, _window_ok(j, e, d, bip),
+                                 BIPARTITE_EXACT if bip else NONBIPARTITE_WINDOW),
+            audit)
 
 
 def _graphs(n: int, lo: int, hi: int):
@@ -355,14 +319,16 @@ class _Tally:
 def _examine_graph(g: Graph, row0: list[int], tally: _Tally) -> None:
     """All-sources verification of one connected graph, whose BFS row from
     node 0 is ``row0``, added to ``tally``."""
-    ctx = _GraphContext(g, range(g.n), row0)
-    diam, bip = ctx.diameter, ctx.bipartite
+    rows = [row0, *(_bfs(g, s) for s in range(1, g.n))]
+    diam = max(map(max, rows))
+    bip = is_bipartite(g).bipartite
+    edge_bits = _edge_bits(g)
     tally.graphs += 1
     tally.runs += g.n
     if bip:
         tally.bipartite_runs += g.n
-    for source in range(g.n):
-        e = ctx.eccentricity(source)
+    for source, row in enumerate(rows):
+        e = max(row)
         try:
             inboxes, receipts = _flood(g, source)
         except InternalInvariantError as exc:
@@ -381,7 +347,7 @@ def _examine_graph(g: Graph, row0: list[int], tally: _Tally) -> None:
                               f"j={j} outside window for e={e} d={diam} "
                               f"bipartite={bip}"))
             found.extend((f"audit:{c.name}", c.detail)
-                         for c in ctx.audit(source, inboxes, receipts).failures)
+                         for c in _audit(g, inboxes, receipts, row, edge_bits).failures)
             if found:
                 trace = Trace(g, source, tuple(inboxes), j)
         if found:
@@ -521,10 +487,10 @@ def find_sharp_example(n_max: int, target: tuple[int, int] = (2, 4)) -> SharpSea
     n_searched = 0
     for n in range(2, n_max + 1):
         for g, row0 in _all_graphs(n):
-            ctx = _GraphContext(g, range(g.n), row0)
-            diam = ctx.diameter
-            for source in range(g.n):
-                e, j = ctx.eccentricity(source), len(_flood(g, source)[0]) - 1
+            rows = [row0, *(_bfs(g, s) for s in range(1, n))]
+            diam = max(map(max, rows))
+            for source, row in enumerate(rows):
+                e, j = max(row), len(_flood(g, source)[0]) - 1
                 if j != e + diam + 1:
                     continue
                 w = SharpWitness(g, source, e, diam, j)

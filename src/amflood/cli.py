@@ -12,10 +12,10 @@ import argparse
 import contextlib
 import os
 import sys
-from pathlib import Path
 
 from . import analysis, async_engine
-from .graph import GraphError, gen_named, gen_random, parse_edge_list
+from .graph import (MAX_EDGE_LIST_CHARS, GraphError, gen_named, gen_random,
+                    parse_edge_list)
 from .jsonio import dumps_stable
 from .sync_engine import RoundBudgetError, run_sync
 
@@ -39,9 +39,13 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 def _load_graph(args):
     if args.graph is not None:
         try:
-            text = Path(args.graph).read_text()
+            with open(args.graph) as fh:
+                text = fh.read(MAX_EDGE_LIST_CHARS + 1)
         except OSError as exc:
             raise GraphError(f"cannot read {args.graph}: {exc}") from None
+        if len(text) > MAX_EDGE_LIST_CHARS:
+            raise GraphError(f"edge list {args.graph} is over the limit of "
+                             f"{MAX_EDGE_LIST_CHARS} characters")
         return parse_edge_list(text)
     if args.named is not None:
         kind, _, param = args.named.partition(":")

@@ -23,6 +23,9 @@ _MASK64 = (1 << 64) - 1
 MAX_NODES = 10**6
 MAX_EDGES = 10**7
 MAX_RANDOM_DRAWS = 10**7
+# Characters of an edge-list file, enough for MAX_EDGES lines of two ids
+# below MAX_NODES; a file is read only this far before it is refused.
+MAX_EDGE_LIST_CHARS = 1 << 28
 
 
 class GraphError(ValueError):
@@ -168,13 +171,9 @@ def distance_profile(g: Graph, source: int) -> DistanceProfile:
 
 def diameter(g: Graph) -> int:
     """Maximum eccentricity over all sources. Rejects disconnected graphs."""
-    best = 0
-    for s in range(g.n):
-        dist = _bfs(g, s)
-        if min(dist) < 0:
-            raise DisconnectedGraphError("diameter needs a connected graph")
-        best = max(best, max(dist))
-    return best
+    if not is_connected(g):
+        raise DisconnectedGraphError("diameter needs a connected graph")
+    return max(max(_bfs(g, s)) for s in range(g.n))
 
 
 @dataclass(frozen=True)

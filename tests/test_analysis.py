@@ -3,15 +3,16 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
-from amflood import sync_engine
+from amflood import analysis, sync_engine
 from amflood.analysis import (AUDIT_CHECKS, BIPARTITE_EXACT, NONBIPARTITE_WINDOW,
-                              _GraphContext, analyze, audit_trace, classify,
+                              _audit, _edge_bits, analyze, audit_trace, classify,
                               connected_graphs, find_sharp_example, sweep)
-from amflood.graph import (diameter, distance_profile, gen_named,
+from amflood.graph import (_bfs, diameter, distance_profile, gen_named,
                            is_bipartite, parse_edge_list)
 from amflood.jsonio import dumps_stable
 from amflood.sync_engine import round_multiplicity, run_sync
@@ -120,23 +121,43 @@ def test_analyze_combines_both_views():
     assert rep.window_ok and audit.all_ok
 
 
-def test_graph_context_matches_public_oracles():
-    # every connected labeled graph with n <= 5, every source, both the
-    # all-sources context of the sweep and the single-source one of analyze
+def test_sweep_audit_inputs_and_analyze_match_public_oracles():
+    # every connected labeled graph with n <= 5, every source: the sweep's
+    # audit of _flood's run, on its own BFS row and edge bits, equals the
+    # public audit of run_sync's trace, and analyze's facts equal the oracles
     for n in range(1, 6):
         for g in connected_graphs(n):
-            full = _GraphContext(g, range(n))
-            assert full.diameter == diameter(g)
-            assert full.bipartite == is_bipartite(g).bipartite
+            diam, bip, bits = diameter(g), is_bipartite(g).bipartite, _edge_bits(g)
             for s in range(n):
-                trace = run_sync(g, s)
-                audit = dumps_stable(audit_trace(g, s, trace).to_json_obj())
-                run = sync_engine._flood(g, s)
-                for ctx in (full, _GraphContext(g, (s,))):
-                    assert ctx.diameter == full.diameter
-                    assert ctx.bipartite == full.bipartite
-                    assert ctx.eccentricity(s) == distance_profile(g, s).eccentricity
-                    assert dumps_stable(ctx.audit(s, *run).to_json_obj()) == audit
+                audit = dumps_stable(audit_trace(g, s, run_sync(g, s)).to_json_obj())
+                inboxes, receipts = sync_engine._flood(g, s)
+                swept = _audit(g, inboxes, receipts, _bfs(g, s), bits)
+                assert dumps_stable(swept.to_json_obj()) == audit
+                rep, analyzed = analyze(g, s)
+                assert (rep.eccentricity, rep.diameter, rep.bipartite) == (
+                    distance_profile(g, s).eccentricity, diam, bip)
+                assert dumps_stable(analyzed.to_json_obj()) == audit
+
+
+def test_each_fact_once_per_graph(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "_bfs", counted("bfs", analysis._bfs))
+    monkeypatch.setattr(analysis, "is_bipartite", counted("bipartite", analysis.is_bipartite))
+    # one BFS per edge mask for n = 2..4 (the connectivity check) plus one per
+    # other node of each of the 43 connected graphs, and one coloring each
+    sweep(4)
+    assert calls == {"bfs": 197, "bipartite": 43}
+    calls.clear()
+    # the search reads no bipartiteness; its two checks are the canonical runs'
+    find_sharp_example(4)
+    assert calls == {"bfs": 197, "bipartite": 2}
 
 
 # -------------------------------------------------------------------- sweep

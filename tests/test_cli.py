@@ -352,13 +352,18 @@ def test_disconnected_graph_exits_two(tmp_path, capsys, argv):
     ("--named", "path:1000001"),
     ("--random", "4473,0.5,1"),
     ("--random", "1000000000,0.000001,1"),
-    ("--graph", None),
+    ("--graph", "0 1\n0 4000000000\n"),
+    ("--graph", "0 1\n" * 20),
 ])
-def test_oversized_input_exits_two_before_it_allocates(tmp_path, capsys, graph_args):
+def test_oversized_input_exits_two_before_it_allocates(tmp_path, capsys, monkeypatch,
+                                                       graph_args):
     flag, value = graph_args
     if flag == "--graph":
-        value = tmp_path / "huge_id.edges"
-        value.write_text("0 1\n0 4000000000\n")
+        # a huge node id, then a file longer than a lowered length limit
+        monkeypatch.setattr(cli, "MAX_EDGE_LIST_CHARS", 48)
+        path = tmp_path / "input.edges"
+        path.write_text(value)
+        value = path
     tracemalloc.start()
     try:
         code, out, err = _run(capsys, "run", flag, str(value), "--source", "0")
@@ -369,6 +374,25 @@ def test_oversized_input_exits_two_before_it_allocates(tmp_path, capsys, graph_a
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "over the limit" in err
     assert peak < 1 << 20
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_graph_file_exits_two():
+    # The address-space cap applies to the child only, so a reader that
+    # slurps the endless file dies there instead of exhausting the machine.
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(cli.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-m", "amflood", "run", "--graph", "/dev/zero",
+                          "--source", "0"], env={**os.environ, "PYTHONPATH": str(src)},
+                         preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert res.returncode == cli.EXIT_INPUT_ERROR
+    assert res.stdout == ""
+    assert res.stderr == (f"amflood: edge list /dev/zero is over the limit of "
+                          f"{cli.MAX_EDGE_LIST_CHARS} characters\n")
 
 
 def test_reruns_are_byte_identical(capsys):
