@@ -11,7 +11,8 @@ two workers; the sharpness search for (8), (5), (4, target (2, 5)) and
 sync ``run`` on one larger random graph from node 0, in full and cut by
 ``--max-rounds``, and ``analyze`` on it from nodes 0 and 17;
 ``run`` in each mode and ``analyze`` from node 0 of a disconnected edge list;
-and the input-error cases. A CLI file holds stdout, then ``exit=CODE``,
+and the input-error cases, two of them edge lists with a bad line behind
+comments and blank lines. A CLI file holds stdout, then ``exit=CODE``,
 then stderr. Exit code 2 on a bad argument.
 """
 
@@ -40,6 +41,8 @@ GRAPHS = [
 LARGE = ("--random", "400,0.03,7")
 LABELED = "a b\nb c\nc a\nc d\nd e\ne c\n"  # two triangles sharing c
 TWO_PARTS = "0 1\n2 3\n"  # disconnected: every command rejects it
+# Edge lists whose error names a line behind comments and blank lines.
+BAD_FILES = {"self_loop": "# c\n\n0 1\n2 2\n", "three_endpoints": "0 1\n# x\n\n1 2 3\n"}
 MODES = ("sync", "async:zero", "async:fig6")
 SHARP = [("8", 8, (2, 4)), ("5", 5, (2, 4)), ("4_2_5", 4, (2, 5)), ("6_3_3", 6, (3, 3))]
 INPUT_ERRORS = [
@@ -102,6 +105,11 @@ def main() -> int:
         for mode in MODES:
             files[f"cli/graph_two_parts/run_{mode}_s0.txt"] = _cli(("run", *base, "--mode", mode))
         files["cli/graph_two_parts/analyze_s0.txt"] = _cli(("analyze", *base))
+        for name, text in BAD_FILES.items():
+            bad = Path(tmp) / f"{name}.edges"
+            bad.write_text(text)
+            files[f"errors/graph_{name}.txt"] = _cli(
+                ("run", "--graph", str(bad), "--source", "0"))
     files["cli/random_400/run_sync_s0.txt"] = _cli(("run", *LARGE, "--source", "0"))
     files["cli/random_400/run_sync_max3_s0.txt"] = _cli(
         ("run", *LARGE, "--source", "0", "--max-rounds", "3"))

@@ -17,9 +17,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import Edge, Graph, _bfs, diameter, distance_profile, gen_named, is_bipartite
-from .sync_engine import (Inbox, InternalInvariantError, Receipts, Trace, _acyclic,
-                          _flood, _receipts, run_sync)
+from .graph import (Edge, Graph, _acyclic, _bfs, diameter, distance_profile, gen_named,
+                    is_bipartite)
+from .sync_engine import (Inbox, InternalInvariantError, Receipts, Trace, _flood, _receipts,
+                          run_sync)
 
 BIPARTITE_EXACT = "bipartite_exact"
 NONBIPARTITE_WINDOW = "nonbipartite_window"

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph
-from .sync_engine import (Arc, InternalInvariantError, Trace, _acyclic, _arcs,
-                          _check_floodable, _forward, _inbox)
+from .graph import Graph, _acyclic
+from .sync_engine import (Arc, InternalInvariantError, Trace, _arcs, _check_floodable,
+                          _forward, _inbox)
 
 Message = tuple[int, int, int]  # (sender, receiver, rounds already held)
 AsyncConfiguration = frozenset[Message]

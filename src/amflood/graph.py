@@ -8,9 +8,11 @@ algorithm works on ids.
 from __future__ import annotations
 
 import functools
+import gc
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count, repeat
+from operator import add, mul, ne
 
 Edge = tuple[int, int]
 
@@ -26,6 +28,27 @@ MAX_RANDOM_DRAWS = 10**7
 # Characters of an edge-list file, enough for MAX_EDGES lines of two ids
 # below MAX_NODES; a file is read only this far before it is refused.
 MAX_EDGE_LIST_CHARS = 1 << 28
+
+
+def _acyclic(fn):
+    """Run ``fn`` with the cyclic garbage collector paused, then restore it.
+
+    The wrapped builders create up to millions of small containers in no
+    reference cycle, so each full collection they would trigger rescans the
+    live heap to free nothing; reference counting still frees all they drop.
+    A collector the caller disabled stays disabled. Not for code where
+    another thread toggles ``gc``: the pause is process-wide.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return wrapper
 
 
 class GraphError(ValueError):
@@ -51,20 +74,21 @@ class Graph:
     adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise GraphError(f"need at least one node, got n={self.n}")
-        _check_size("graph", self.n, len(self.edges))
-        if self.labels is not None and len(self.labels) != self.n:
+        n = self.n
+        if n < 1:
+            raise GraphError(f"need at least one node, got n={n}")
+        _check_size("graph", n, len(self.edges))
+        if self.labels is not None and len(self.labels) != n:
             raise GraphError("labels must cover every node id")
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        prev: Edge | None = None
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        prev: Edge = (-1, -1)
         for e in self.edges:
             u, v = e
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            if not 0 <= u < v < self.n:
-                raise GraphError(f"edge {e} not normalized or out of range for n={self.n}")
-            if prev is not None and e <= prev:
+            if not (prev < e and 0 <= u < v < n):
+                if u == v:
+                    raise GraphError(f"self-loop at node {u}")
+                if not 0 <= u < v < n:
+                    raise GraphError(f"edge {e} not normalized or out of range for n={n}")
                 raise GraphError("edges must be sorted and unique")
             prev = e
             nbrs[u].append(v)
@@ -74,15 +98,10 @@ class Graph:
         object.__setattr__(self, "adj", tuple(map(tuple, nbrs)))
 
     @classmethod
-    def from_edges(cls, n: int, edges, labels=None) -> Graph:
+    def from_edges(cls, n: int, edges) -> Graph:
         """Build a Graph, normalizing endpoint order and dropping duplicates."""
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            norm.add((u, v) if u < v else (v, u))
-        return cls(n=n, edges=tuple(sorted(norm)),
-                   labels=tuple(labels) if labels is not None else None)
+        us, vs = tuple(zip(*edges, strict=True)) or ((), ())
+        return cls(n=n, edges=_normalized(n, us, vs))
 
     @functools.cached_property
     def rev(self) -> tuple[tuple[int, ...], ...]:
@@ -126,6 +145,17 @@ def _check_size(what: str, n: int, m: int) -> None:
         raise GraphError(f"{what} has {n} nodes, over the limit of {MAX_NODES}")
     if m > MAX_EDGES:
         raise GraphError(f"{what} has {m} edges, over the limit of {MAX_EDGES}")
+
+
+def _normalized(n: int, us, vs) -> tuple[Edge, ...]:
+    """The edges {us[i], vs[i]} as sorted, distinct pairs (u, v) with u < v, made
+    from integer keys u*n+v. A key is one-to-one only for ids in [0, n), so
+    the node limit and that range are checked before any key is built."""
+    _check_size("graph", n, 0)
+    if us and not 0 <= min(min(us), min(vs)) <= max(max(us), max(vs)) < n:
+        raise GraphError(f"an endpoint is out of range for n={n}")
+    keys = sorted(set(map(add, map(mul, map(min, us, vs), repeat(n)), map(max, us, vs))))
+    return tuple(map(divmod, keys, repeat(n)))
 
 
 def _bfs(g: Graph, source: int) -> list[int]:
@@ -239,6 +269,7 @@ def ec_nodes(g: Graph, source: int) -> EcReport:
     return EcReport(source, members, wit)
 
 
+@_acyclic
 def parse_edge_list(text: str) -> Graph:
     """Parse "u v" lines into a Graph.
 
@@ -248,38 +279,44 @@ def parse_edge_list(text: str) -> Graph:
     endpoint is a bare word the whole file switches to label mode and ids are
     assigned in order of first appearance, with the labels retained.
     """
-    rows: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        if len(toks) != 2:
-            raise GraphError(f"line {lineno}: expected two endpoints, got {len(toks)}")
-        rows.append((lineno, toks[0], toks[1]))
-    if not rows:
+    # Once each line holds 0 or 2 tokens, the text's tokens pair up as edges:
+    # every splitlines boundary is whitespace to split. del keeps the peak low.
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+    if not {0, 2}.issuperset(map(len, map(str.split, lines))):
+        raise _bad_line(text)
+    body = " ".join(lines) if "#" in text else text
+    del lines
+    ends = body.split()
+    if not ends:
         raise GraphError("empty edge list")
-
     # isdecimal, not isdigit: a digit such as "²" is not a decimal int() reads
-    numeric = all(a.isdecimal() and b.isdecimal() for _, a, b in rows)
-    labels: tuple[str, ...] | None
-    if numeric:
-        ids = [(ln, int(a), int(b)) for ln, a, b in rows]
-        n = max(max(u, v) for _, u, v in ids) + 1
-        labels = None
+    if all(map(str.isdecimal, ends)):
+        ends, labels = list(map(int, ends)), None
     else:
-        first_seen: dict[str, int] = {}
-        ids = [(ln, first_seen.setdefault(a, len(first_seen)),
-                first_seen.setdefault(b, len(first_seen))) for ln, a, b in rows]
-        n = len(first_seen)
-        labels = tuple(first_seen)
+        first_seen = dict(zip(dict.fromkeys(ends), count()))
+        ends, labels = list(map(first_seen.__getitem__, ends)), tuple(first_seen)
+    n = max(ends) + 1 if labels is None else len(labels)
+    us, vs = ends[::2], ends[1::2]
+    if not all(map(ne, us, vs)):
+        raise _bad_line(text, int if labels is None else str)
+    edges = _normalized(n, us, vs)
+    del ends, us, vs
+    return Graph(n=n, edges=edges, labels=labels)
 
-    edges = set()
-    for ln, u, v in ids:
-        if u == v:
-            raise GraphError(f"line {ln}: self-loop")
-        edges.add((u, v) if u < v else (v, u))
-    return Graph(n=n, edges=tuple(sorted(edges)), labels=labels)
+
+def _bad_line(text: str, ident=None) -> GraphError:
+    """The error for the first line of ``text`` with other than two tokens
+    or, given ``ident``, whose two tokens name the same node."""
+    for lineno, toks in enumerate(map(str.split, text.splitlines()), start=1):
+        if not toks or toks[0].startswith("#"):
+            continue
+        if ident is None and len(toks) != 2:
+            return GraphError(f"line {lineno}: expected two endpoints, got {len(toks)}")
+        if ident is not None and ident(toks[0]) == ident(toks[1]):
+            return GraphError(f"line {lineno}: self-loop")
+    raise AssertionError("no bad line in the text")
 
 
 def render_edge_list(g: Graph) -> str:

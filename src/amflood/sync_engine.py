@@ -9,37 +9,14 @@ configuration is absorbing.
 from __future__ import annotations
 
 import functools
-import gc
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import DisconnectedGraphError, Graph, is_connected
+from .graph import DisconnectedGraphError, Graph, _acyclic, is_connected
 
 Arc = tuple[int, int]
 Configuration = frozenset[Arc]
-
-
-def _acyclic(fn):
-    """Run ``fn`` with the cyclic garbage collector paused, then restore it.
-
-    The wrapped builders create up to millions of small containers that form
-    no reference cycles, and each full collection they would trigger rescans
-    the whole live heap to free nothing. Reference counting still frees
-    everything they drop, so pausing loses no memory. A collector the caller
-    has already disabled is left disabled. Not for code where another thread
-    toggles ``gc``: the pause is process-wide.
-    """
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        if not gc.isenabled():
-            return fn(*args, **kwargs)
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            gc.enable()
-    return wrapper
 
 
 class InternalInvariantError(RuntimeError):

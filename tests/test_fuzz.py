@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -18,14 +20,40 @@ from hypothesis import strategies as st
 from amflood import cli
 from amflood.graph import Graph, GraphError, parse_edge_list, render_edge_list
 
+_DECIMAL = st.sampled_from([*map(str, range(30)), "007", "٣"])
 _TOKENS = st.one_of(
     st.integers(0, 40).map(str),
     st.sampled_from(["a", "b", "c", "node", "-1", "1.5", "0x1", "1e3", "007",
-                     "#", "#x", "²", "٣", "é"]),
+                     "#", "#x", "a#b", "²", "٣", "é"]),
     st.text(alphabet="ab01 \t#-", max_size=4),
 )
-EDGE_TEXT = st.lists(st.lists(_TOKENS, max_size=4).map(" ".join),
-                     max_size=12).map("\n".join)
+_PAD = st.sampled_from(["", " ", "\t"])
+_GAP = st.sampled_from([" ", "\t", " \t "])
+_SKIPPED = st.sampled_from(["", " ", "\t", "#", "# comment", "  # 0 1", "#1 1 1", "\t#a b"])
+# Every line boundary str.splitlines knows is whitespace to str.split.
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\u2028"])
+
+
+@st.composite
+def edge_texts(draw) -> str:
+    """Lines of two endpoints or skipped lines, and in half the texts also
+    self-loops and lines of other lengths, each ended by a drawn line break
+    but the last sometimes. Half the texts draw decimal ids only, so both id
+    modes are parsed."""
+    tok = draw(st.sampled_from([_DECIMAL, _TOKENS]))
+    pair = st.builds("{}{}{}{}{}".format, _PAD, tok, _GAP, tok, _PAD)
+    line = st.one_of(pair, _SKIPPED)
+    if draw(st.booleans()):
+        line = st.one_of(pair, _SKIPPED, tok.map("{0} {0}".format),
+                         st.lists(tok, max_size=4).map(" ".join))
+    lines = draw(st.lists(line, max_size=12))
+    breaks = draw(st.lists(_BREAKS, min_size=len(lines), max_size=len(lines)))
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(map(add, lines, breaks))
+
+
+EDGE_TEXT = edge_texts()
 
 
 def _cli(argv) -> tuple[int, str, str]:
@@ -54,6 +82,67 @@ def test_edge_list_text_parses_to_a_graph_or_a_graph_error(text):
     assert isinstance(g, Graph)
     again = parse_edge_list(render_edge_list(g))
     assert (again.n, again.edges) == (g.n, g.edges)
+
+
+def _reference_parse(text: str) -> Graph:
+    """The line-by-line parser parse_edge_list replaced, kept as its
+    specification: one row per line, then one id pair per row."""
+    rows: list[tuple[int, str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        toks = line.split()
+        if len(toks) != 2:
+            raise GraphError(f"line {lineno}: expected two endpoints, got {len(toks)}")
+        rows.append((lineno, toks[0], toks[1]))
+    if not rows:
+        raise GraphError("empty edge list")
+    numeric = all(a.isdecimal() and b.isdecimal() for _, a, b in rows)
+    if numeric:
+        ids = [(ln, int(a), int(b)) for ln, a, b in rows]
+        n = max(max(u, v) for _, u, v in ids) + 1
+        labels = None
+    else:
+        first_seen: dict[str, int] = {}
+        ids = [(ln, first_seen.setdefault(a, len(first_seen)),
+                first_seen.setdefault(b, len(first_seen))) for ln, a, b in rows]
+        n = len(first_seen)
+        labels = tuple(first_seen)
+    edges = set()
+    for ln, u, v in ids:
+        if u == v:
+            raise GraphError(f"line {ln}: self-loop")
+        edges.add((u, v) if u < v else (v, u))
+    return Graph(n=n, edges=tuple(sorted(edges)), labels=labels)
+
+
+def _parsed(parse, text):
+    try:
+        g = parse(text)
+    except GraphError as exc:
+        return str(exc)
+    return g.n, g.edges, g.labels, g.adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDGE_TEXT)
+def test_parse_matches_the_line_by_line_reference(text):
+    assert _parsed(parse_edge_list, text) == _parsed(_reference_parse, text)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_parse_matches_the_reference_on_a_large_shuffled_list(seed):
+    # Duplicates in both endpoint orders, ids up to 10^5 (keys past 2^30),
+    # a comment header and CRLF line ends.
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(10**5), rng.randrange(10**5)) for _ in range(3000)]
+    pairs = [(u, v) for u, v in pairs if u != v]
+    pairs += [(v, u) for u, v in pairs[:500]]
+    rng.shuffle(pairs)
+    text = "# shuffled\r\n" + "".join(f"{u}\t{v}\r\n" for u, v in pairs)
+    for t in (text, text.replace("\t", "\tv")):  # numeric ids, then labels
+        assert _parsed(parse_edge_list, t) == _parsed(_reference_parse, t)
 
 
 @pytest.fixture(scope="module")

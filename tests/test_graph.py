@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -38,6 +40,40 @@ def test_parse_rejects_self_loop_with_line_number():
 def test_parse_rejects_malformed_token_count():
     with pytest.raises(GraphError, match="line 2"):
         parse_edge_list("0 1\n0 1 2")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("# c\n\n0 1\n2 2\n", "line 4: self-loop"),
+    ("0 1\n# x\n\n1 2 3\n", "line 4: expected two endpoints, got 3"),
+    ("a b\n# c\n\nb c\n  # d\nc c\n", "line 6: self-loop"),
+    ("a b\r\n\x1cb  b\n", "line 3: self-loop"),
+    ("1 2\n1 01\n", "line 2: self-loop"),  # one id written two ways
+    ("0 0\n1 2 3\n", "line 2: expected two endpoints, got 3"),  # counts are checked first
+])
+def test_parse_errors_name_the_line_behind_comments_and_blanks(text, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        parse_edge_list(text)
+
+
+def test_parse_keeps_equal_looking_labels_apart():
+    g = parse_edge_list("x 1\n1 01\n")  # label mode: "1" and "01" are two labels
+    assert g.labels == ("x", "1", "01") and g.edges == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("lines,limit_mib", [
+    (("0 1",) * 10**5, 8),  # the parser this replaced peaked at 16.4 MiB
+    (tuple(f"{i} {i + 1}" for i in range(3 * 10**4)), 12),  # at 17.8 MiB
+], ids=["one_edge_repeated", "distinct_path"])
+def test_parse_peak_memory_is_bounded(lines, limit_mib):
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == len(set(lines))
+    assert peak < limit_mib << 20, peak / 2**20
 
 
 def test_parse_skips_comments_and_blanks_and_collapses_duplicates():
