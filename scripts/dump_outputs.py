@@ -8,12 +8,13 @@ The corpus: the sweep summary JSON for every n_max <= 6 with one and with
 two workers; the sharpness search for (8), (5), (4, target (2, 5)) and
 (6, target (3, 3)); CLI ``run`` in the sync, ``async:zero`` and
 ``async:fig6`` modes and ``analyze`` from every source of each graph below;
-sync ``run`` on one larger random graph from node 0, in full and cut by
-``--max-rounds``, and ``analyze`` on it from nodes 0 and 17;
+``run`` on one larger random graph from node 0 in sync mode, in full and
+cut by ``--max-rounds``, and in ``async:zero`` with hold caps 1 and 3, and
+``analyze`` on it from nodes 0 and 17;
 ``run`` in each mode and ``analyze`` from node 0 of a disconnected edge list;
-and the input-error cases, two of them edge lists with a bad line behind
-comments and blank lines. A CLI file holds stdout, then ``exit=CODE``,
-then stderr. Exit code 2 on a bad argument.
+and the input-error cases, three of them edge lists with a bad line behind
+a comment: a self-loop, three endpoints and a 5,000-digit id. A CLI file
+holds stdout, then ``exit=CODE``, then stderr. Exit code 2 on a bad argument.
 """
 
 from __future__ import annotations
@@ -36,13 +37,15 @@ GRAPHS = [
     ("--named", "complete:4", 4), ("--random", "16,0.3,42", 16),
 ]
 # A 400-node draw of average degree about 12: hundreds of sends per round,
-# run from node 0 in full and as the partial trace of a 3-round budget, and
-# analyzed from two sources, where e, d and the audit are not trivial.
+# run from node 0 in full, as the partial trace of a 3-round budget and
+# asynchronously, and analyzed from two sources, where e, d and the audit are
+# not trivial.
 LARGE = ("--random", "400,0.03,7")
 LABELED = "a b\nb c\nc a\nc d\nd e\ne c\n"  # two triangles sharing c
 TWO_PARTS = "0 1\n2 3\n"  # disconnected: every command rejects it
 # Edge lists whose error names a line behind comments and blank lines.
-BAD_FILES = {"self_loop": "# c\n\n0 1\n2 2\n", "three_endpoints": "0 1\n# x\n\n1 2 3\n"}
+BAD_FILES = {"self_loop": "# c\n\n0 1\n2 2\n", "three_endpoints": "0 1\n# x\n\n1 2 3\n",
+             "long_id": "0 1\n# x\n1 " + "1" * 5000 + "\n"}
 MODES = ("sync", "async:zero", "async:fig6")
 SHARP = [("8", 8, (2, 4)), ("5", 5, (2, 4)), ("4_2_5", 4, (2, 5)), ("6_3_3", 6, (3, 3))]
 INPUT_ERRORS = [
@@ -113,6 +116,9 @@ def main() -> int:
     files["cli/random_400/run_sync_s0.txt"] = _cli(("run", *LARGE, "--source", "0"))
     files["cli/random_400/run_sync_max3_s0.txt"] = _cli(
         ("run", *LARGE, "--source", "0", "--max-rounds", "3"))
+    for mode in ("async:zero", "async:zero,3"):
+        files[f"cli/random_400/run_{mode}_s0.txt"] = _cli(
+            ("run", *LARGE, "--source", "0", "--mode", mode))
     for source in (0, 17):
         files[f"cli/random_400/analyze_s{source}.txt"] = _cli(
             ("analyze", *LARGE, "--source", str(source)))

@@ -17,8 +17,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import (Edge, Graph, _acyclic, _bfs, diameter, distance_profile, gen_named,
-                    is_bipartite)
+from .graph import (DisconnectedGraphError, Edge, Graph, _acyclic, _bfs, diameter,
+                    distance_profile, gen_named, is_bipartite)
 from .sync_engine import (Inbox, InternalInvariantError, Receipts, Trace, _flood, _receipts,
                           run_sync)
 
@@ -115,7 +115,10 @@ def audit_trace(g: Graph, source: int, trace: Trace) -> TraceAudit:
         raise ValueError("trace was recorded on another graph")
     if trace.source != source:
         raise ValueError(f"trace was recorded from source {trace.source}, not {source}")
-    dist = list(distance_profile(g, source).dist)
+    g.check_node(source)
+    dist = _bfs(g, source)
+    if -1 in dist:
+        raise DisconnectedGraphError("the audit needs a connected graph")
     return _audit(g, trace.inboxes, _receipts(g.n, trace.inboxes), dist, _edge_bits(g))
 
 

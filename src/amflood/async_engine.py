@@ -10,10 +10,14 @@ configuration, an exact configuration recurrence certifies non-termination.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Set
 from dataclasses import dataclass, field
+from itertools import repeat, zip_longest
+from operator import add, mul
 
 from .graph import Graph, _acyclic
-from .sync_engine import (Arc, InternalInvariantError, Trace, _arcs, _check_floodable,
+from .sync_engine import (Arc, Inbox, InternalInvariantError, Trace, _arcs, _check_floodable,
                           _forward, _inbox)
 
 Message = tuple[int, int, int]  # (sender, receiver, rounds already held)
@@ -31,11 +35,11 @@ class UnfairScheduleError(ValueError):
 class Adversary:
     """Per-round delivery scheduler.
 
-    decide() sees the round-start configuration alone and returns the arcs
-    (sender, receiver) to hold this round; every other message arrives.
-    ``deterministic`` declares it to be a pure function of that configuration;
-    only then can a repeated configuration certify non-termination. ``bind``
-    is called once at the start of each run.
+    decide() sees the round-start configuration alone, a read-only set of
+    messages, and returns the arcs (sender, receiver) to hold this round;
+    every other message arrives. ``deterministic`` declares it to be a pure
+    function of that configuration; only then can a repeated configuration
+    certify non-termination. ``bind`` is called once at the start of each run.
     """
 
     deterministic = False
@@ -43,7 +47,7 @@ class Adversary:
     def bind(self, g: Graph) -> None:
         pass
 
-    def decide(self, config: AsyncConfiguration) -> frozenset[Arc]:
+    def decide(self, config: Set[Message]) -> frozenset[Arc]:
         raise NotImplementedError
 
 
@@ -81,22 +85,64 @@ class HoldSecondSenderAdversary(Adversary):
 ADVERSARIES = {"zero": ZeroDelayAdversary, "fig6": HoldSecondSenderAdversary}
 
 
+class _Pool(Set):
+    """A round-start pool: one inbox per message age, from 0 up to the oldest
+    age in flight, no arc in two of them. As a set it holds the messages
+    (sender, receiver, age), decoded on first read: decide() is handed it, so
+    a scheduler that reads nothing costs no decoding."""
+
+    def __init__(self, g: Graph, inboxes: tuple[Inbox, ...]):
+        self.graph, self.inboxes = g, inboxes
+
+    @functools.cached_property
+    def messages(self) -> AsyncConfiguration:
+        return frozenset(map(tuple, _messages(self.graph, self.inboxes)))
+
+    def __contains__(self, msg) -> bool:
+        return msg in self.messages
+
+    def __iter__(self):
+        return iter(self.messages)
+
+    def __len__(self) -> int:
+        return len(self.messages)
+
+    def __hash__(self) -> int:
+        return hash(self.messages)
+
+
+def _messages(g: Graph, inboxes: tuple[Inbox, ...]) -> list[list[int]]:
+    """The messages [sender, receiver, age] of ``inboxes``, sorted."""
+    return sorted([[u, v, age] for age, inbox in enumerate(inboxes) for u, v in _arcs(g, inbox)])
+
+
 @dataclass(frozen=True)
 class AsyncRound:
-    """One executed round: the round-start pool and how it was resolved."""
+    """One executed round: its round-start pool, the messages it held (one
+    inbox per age) and the nodes receiving. The message sets pool, delivered
+    and held are derived on first use."""
 
-    pool: AsyncConfiguration
-    delivered: AsyncConfiguration
-    held: AsyncConfiguration
+    start: _Pool
+    held_inboxes: tuple[Inbox, ...]
     receipts: frozenset[int]
 
+    @property
+    def pool(self) -> AsyncConfiguration:
+        return self.start.messages
+
+    @functools.cached_property
+    def held(self) -> AsyncConfiguration:
+        return frozenset(map(tuple, _messages(self.start.graph, self.held_inboxes)))
+
+    @property
+    def delivered(self) -> AsyncConfiguration:
+        return self.pool - self.held
+
     def to_json_obj(self) -> dict:
-        return {
-            "pool": [list(msg) for msg in sorted(self.pool)],
-            "delivered": [list(msg) for msg in sorted(self.delivered)],
-            "held": [list(msg) for msg in sorted(self.held)],
-            "receipts": sorted(self.receipts),
-        }
+        g = self.start.graph
+        pool, held = _messages(g, self.start.inboxes), _messages(g, self.held_inboxes)
+        return {"pool": pool, "held": held, "receipts": sorted(self.receipts),
+                "delivered": [m for m in pool if tuple(m) not in self.held] if held else pool}
 
 
 @dataclass(frozen=True)
@@ -131,20 +177,34 @@ class AsyncVerdict:
         """Reinterpret a hold-free terminated run as a synchronous trace."""
         if self.outcome != OUTCOME_TERMINATED:
             raise ValueError(f"run did not terminate (outcome={self.outcome})")
-        if any(rec.held for rec in self.rounds):
+        if any(rec.held_inboxes for rec in self.rounds):
             raise ValueError("run used holds; it has no synchronous equivalent")
-        g = self.graph
-        inboxes = ({self.source: 0},
-                   *(_inbox(g, ((u, v) for u, v, _ in rec.delivered)) for rec in self.rounds))
-        return Trace(g, self.source, inboxes, self.termination_round)
+        inboxes = ({self.source: 0}, *(rec.start.inboxes[0] for rec in self.rounds))
+        return Trace(self.graph, self.source, inboxes, self.termination_round)
 
 
-def _execute_round(g: Graph, pool: AsyncConfiguration, hold: frozenset[Arc],
-                   hold_cap: int) -> tuple[AsyncConfiguration, AsyncRound]:
+def _minus(inbox: Inbox, other: Inbox) -> Inbox:
+    """The arcs of ``inbox`` outside ``other``."""
+    return {v: rest for v, m in inbox.items() if (rest := m & ~other.get(v, 0))}
+
+
+def _union(inboxes) -> Inbox:
+    """The arcs of all ``inboxes``."""
+    out: Inbox = {}
+    for inbox in inboxes:
+        for v, m in inbox.items():
+            out[v] = out.get(v, 0) | m
+    return out
+
+
+def _execute_round(pool: _Pool, hold: frozenset[Arc],
+                   hold_cap: int) -> tuple[tuple[Inbox, ...], AsyncRound]:
     """Resolve one round from the round-start ``pool``, holding the messages
     on the arcs in ``hold`` and delivering the rest. Pure: returns the next
-    round-start pool and the round's record."""
+    round-start pool's inboxes and the round's record."""
+    g, inboxes, held = pool.graph, pool.inboxes, ()
     if hold:
+        # checked on the messages, before any held arc enters a mask
         ages = {(u, v): age for u, v, age in pool}
         for arc in hold:
             if arc not in ages:
@@ -152,18 +212,16 @@ def _execute_round(g: Graph, pool: AsyncConfiguration, hold: frozenset[Arc],
             if ages[arc] >= hold_cap:
                 raise UnfairScheduleError(
                     f"message on {arc} held past the {hold_cap}-round cap")
-        held = frozenset([(u, v, ages[u, v]) for u, v in hold])
-        delivered = pool - held
-    else:
-        delivered, held = pool, frozenset()
-    inbox = _inbox(g, ((u, v) for u, v, _age in delivered))
-    sends = _arcs(g, _forward(g, inbox))
-    # a fresh send on an arc that already carries a held copy collapses into
-    # it; the token is a single indistinguishable M
-    nxt = frozenset([(u, v, age + 1) for u, v, age in held]
-                    + [(u, v, 0) for u, v in sends if (u, v) not in hold])
-    return nxt, AsyncRound(pool=pool, delivered=delivered, held=held,
-                           receipts=frozenset(inbox))
+        held = tuple(_inbox(g, [arc for arc in hold if ages[arc] == age])
+                     for age in range(max(map(ages.get, hold)) + 1))
+    delivered = inboxes[0] if len(inboxes) == 1 and not held else _union(
+        _minus(inbox, kept) for inbox, kept in zip_longest(inboxes, held, fillvalue={}))
+    sends = _forward(g, delivered)
+    if held:
+        # a fresh send on an arc that already carries a held copy collapses
+        # into it; the token is a single indistinguishable M
+        sends = _minus(sends, _union(held))
+    return (sends, *held) if sends or held else (), AsyncRound(pool, held, frozenset(delivered))
 
 
 def run_async(g: Graph, source: int, adversary: Adversary,
@@ -186,7 +244,7 @@ def run_async(g: Graph, source: int, adversary: Adversary,
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
 
     adversary.bind(g)
-    pool: AsyncConfiguration = frozenset((source, w, 0) for w in g.adj[source])
+    inboxes: tuple[Inbox, ...] = (_forward(g, {source: 0}),)
     rounds: list[AsyncRound] = []
 
     def verdict(outcome: str, termination_round: int | None = None,
@@ -195,29 +253,35 @@ def run_async(g: Graph, source: int, adversary: Adversary,
         return AsyncVerdict(g, g.n, source, outcome, termination_round, first_seen,
                             period, tuple(rounds), round_sets)
 
-    seen: dict[AsyncConfiguration, int] = {}
+    seen: dict[tuple[frozenset, ...], int] = {}
     r = 0
-    while pool:
+    while inboxes:
         r += 1
         if r > max_rounds:
             return verdict(OUTCOME_EXHAUSTED)
         if adversary.deterministic:
-            if pool in seen:
+            # each age's entries (v, m) as the ints m*n+v: one-to-one as v < n,
+            # and ints leave the collector nothing to track
+            key = tuple([frozenset(map(add, ib, map(mul, ib.values(), repeat(g.n))))
+                         for ib in inboxes])
+            if key in seen:
                 break
-            seen[pool] = r
-        pool, record = _execute_round(g, pool, adversary.decide(pool), hold_cap)
+            seen[key] = r
+        pool = _Pool(g, inboxes)
+        inboxes, record = _execute_round(pool, adversary.decide(pool), hold_cap)
         rounds.append(record)
-    if not pool:
+    if not inboxes:
         return verdict(OUTCOME_TERMINATED, termination_round=r)
 
-    first = seen[pool]
+    first = seen[key]
     period = r - first
     # Certify: one more period must reproduce the recorded segment exactly.
     for k in range(period):
-        if pool != rounds[first - 1 + k].pool:
+        if inboxes != rounds[first - 1 + k].start.inboxes:
             raise InternalInvariantError("configuration cycle failed to replay")
-        pool, record = _execute_round(g, pool, adversary.decide(pool), hold_cap)
+        pool = _Pool(g, inboxes)
+        inboxes, record = _execute_round(pool, adversary.decide(pool), hold_cap)
         rounds.append(record)
-    if pool != rounds[first - 1].pool:
+    if inboxes != rounds[first - 1].start.inboxes:
         raise InternalInvariantError("configuration cycle failed to close")
     return verdict(OUTCOME_CYCLE, first_seen=first, period=period)

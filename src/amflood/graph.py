@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations, count, repeat
@@ -117,6 +118,10 @@ class Graph:
                 seen[w] += 1
         return tuple(rows)
 
+    @functools.cached_property
+    def connected(self) -> bool:
+        return -1 not in _bfs(self, 0)
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -173,7 +178,8 @@ def _bfs(g: Graph, source: int) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    return all(d >= 0 for d in _bfs(g, 0))
+    """Whether a BFS from node 0 reaches every node, run once per graph."""
+    return g.connected
 
 
 @dataclass(frozen=True)
@@ -285,7 +291,8 @@ def parse_edge_list(text: str) -> Graph:
     if "#" in text:
         lines = [line for line in lines if not line.lstrip().startswith("#")]
     if not {0, 2}.issuperset(map(len, map(str.split, lines))):
-        raise _bad_line(text)
+        raise _bad_line(text, lambda toks: len(toks) != 2
+                        and f"expected two endpoints, got {len(toks)}")
     body = " ".join(lines) if "#" in text else text
     del lines
     ends = body.split()
@@ -293,29 +300,32 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError("empty edge list")
     # isdecimal, not isdigit: a digit such as "²" is not a decimal int() reads
     if all(map(str.isdecimal, ends)):
-        ends, labels = list(map(int, ends)), None
+        try:
+            ends, labels = list(map(int, ends)), None
+        except ValueError:  # an id of more digits than int() converts
+            limit = sys.get_int_max_str_digits()
+            raise _bad_line(text, lambda toks: (k := max(map(len, toks))) > limit
+                            and f"a node id of {k} digits is over the limit of {MAX_NODES} nodes"
+                            ) from None
     else:
         first_seen = dict(zip(dict.fromkeys(ends), count()))
         ends, labels = list(map(first_seen.__getitem__, ends)), tuple(first_seen)
     n = max(ends) + 1 if labels is None else len(labels)
     us, vs = ends[::2], ends[1::2]
     if not all(map(ne, us, vs)):
-        raise _bad_line(text, int if labels is None else str)
+        ident = int if labels is None else str
+        raise _bad_line(text, lambda toks: ident(toks[0]) == ident(toks[1]) and "self-loop")
     edges = _normalized(n, us, vs)
     del ends, us, vs
     return Graph(n=n, edges=edges, labels=labels)
 
 
-def _bad_line(text: str, ident=None) -> GraphError:
-    """The error for the first line of ``text`` with other than two tokens
-    or, given ``ident``, whose two tokens name the same node."""
+def _bad_line(text: str, why) -> GraphError:
+    """The error for the first line of ``text`` whose tokens ``why`` faults:
+    it returns the fault, or something false for a good line."""
     for lineno, toks in enumerate(map(str.split, text.splitlines()), start=1):
-        if not toks or toks[0].startswith("#"):
-            continue
-        if ident is None and len(toks) != 2:
-            return GraphError(f"line {lineno}: expected two endpoints, got {len(toks)}")
-        if ident is not None and ident(toks[0]) == ident(toks[1]):
-            return GraphError(f"line {lineno}: self-loop")
+        if toks and not toks[0].startswith("#") and (fault := why(toks)):
+            return GraphError(f"line {lineno}: {fault}")
     raise AssertionError("no bad line in the text")
 
 

@@ -11,10 +11,11 @@ from amflood.async_engine import (Adversary, AsyncRound,
                                   HoldSecondSenderAdversary, OUTCOME_CYCLE,
                                   OUTCOME_EXHAUSTED, OUTCOME_TERMINATED,
                                   UnfairScheduleError, ZeroDelayAdversary,
-                                  _execute_round, run_async)
+                                  run_async)
 from amflood.graph import gen_named, parse_edge_list
 from amflood.jsonio import dumps_stable
-from amflood.sync_engine import InternalInvariantError, run_sync
+from amflood.sync_engine import (InternalInvariantError, _arcs, _forward, _inbox,
+                                 run_sync, step)
 
 from conftest import connected_graph
 
@@ -138,10 +139,30 @@ def test_holding_past_cap_is_rejected():
 
 
 def test_round_rejects_a_non_edge_message():
-    # the arcs-to-masks boundary catches it before the kernel runs
-    with pytest.raises(InternalInvariantError,
-                       match=r"^in-flight arc \(0, 3\) is not an edge$"):
-        _execute_round(gen_named("path", 4), frozenset({(0, 3, 0)}), frozenset(), 1)
+    # A pool of masks cannot hold an arc that is not an edge, so the check
+    # sits where arcs still enter the masks: _inbox, which step calls on its
+    # configuration and the async engine on the arcs an adversary holds once
+    # they are known to be in flight.
+    g = gen_named("path", 4)
+    for enter in (lambda: step(g, frozenset({(0, 3)})), lambda: _inbox(g, [(0, 3)])):
+        with pytest.raises(InternalInvariantError,
+                           match=r"^in-flight arc \(0, 3\) is not an edge$"):
+            enter()
+
+
+def test_decide_sees_the_pool_as_a_frozen_set_of_messages():
+    class Recording(Adversary):
+        def decide(self, config):
+            msgs = frozenset(config)
+            views.append((config == msgs, hash(config) == hash(msgs),
+                          all(m in config for m in msgs), len(config) == len(msgs)))
+            pools.append(msgs)
+            return frozenset()
+
+    views, pools = [], []
+    v = run_async(gen_named("petersen"), 0, Recording())
+    assert set(views) == {(True, True, True, True)}
+    assert pools == [rec.pool for rec in v.rounds]
 
 
 def test_holding_unknown_arc_is_rejected():
@@ -237,6 +258,117 @@ def test_every_recorded_round_is_one_step(g, hold_cap, data):
         receipts, state = _step(g, state, rec.held)
         assert rec.receipts == receipts
     assert (v.outcome == OUTCOME_TERMINATED) == (not state)
+
+
+# ------------------------------------- differential: the triple-based engine
+
+def _reference_round(g, pool, hold, hold_cap):
+    """The round the per-age inbox engine replaced, kept as its
+    specification: the pool is a frozenset of (sender, receiver, age)."""
+    if hold:
+        ages = {(u, v): age for u, v, age in pool}
+        for arc in hold:
+            if arc not in ages:
+                raise UnfairScheduleError(f"adversary held {arc} which is not in flight")
+            if ages[arc] >= hold_cap:
+                raise UnfairScheduleError(
+                    f"message on {arc} held past the {hold_cap}-round cap")
+        held = frozenset([(u, v, ages[u, v]) for u, v in hold])
+        delivered = pool - held
+    else:
+        delivered, held = pool, frozenset()
+    inbox = _inbox(g, ((u, v) for u, v, _age in delivered))
+    sends = _arcs(g, _forward(g, inbox))
+    # a fresh send on an arc that already carries a held copy collapses
+    # into it; the token is a single indistinguishable M
+    nxt = frozenset([(u, v, age + 1) for u, v, age in held]
+                    + [(u, v, 0) for u, v in sends if (u, v) not in hold])
+    return nxt, (pool, delivered, held, frozenset(inbox))
+
+
+def _reference_run(g, source, adversary, max_rounds, hold_cap):
+    """run_async over _reference_round: (outcome, termination_round,
+    first_seen, period, records), a record being (pool, delivered, held,
+    receipts)."""
+    adversary.bind(g)
+    pool = frozenset((source, w, 0) for w in g.adj[source])
+    rounds, seen, r = [], {}, 0
+    while pool:
+        r += 1
+        if r > max_rounds:
+            return OUTCOME_EXHAUSTED, None, None, None, rounds
+        if adversary.deterministic:
+            if pool in seen:
+                break
+            seen[pool] = r
+        pool, record = _reference_round(g, pool, adversary.decide(pool), hold_cap)
+        rounds.append(record)
+    if not pool:
+        return OUTCOME_TERMINATED, r, None, None, rounds
+    first = seen[pool]
+    for _ in range(r - first):
+        pool, record = _reference_round(g, pool, adversary.decide(pool), hold_cap)
+        rounds.append(record)
+    return OUTCOME_CYCLE, None, first, r - first, rounds
+
+
+def _reference_json(source, outcome, termination_round, first_seen, period, rounds) -> str:
+    def listed(msgs):
+        return [list(msg) for msg in sorted(msgs)]
+
+    return dumps_stable({
+        "source": source,
+        "verdict": {"outcome": outcome, "termination_round": termination_round,
+                    "first_seen": first_seen, "period": period},
+        "rounds": [{"pool": listed(pool), "delivered": listed(delivered),
+                    "held": listed(held), "receipts": sorted(receipts)}
+                   for pool, delivered, held, receipts in rounds],
+        "round_sets": [[source], *(sorted(rec[3]) for rec in rounds)],
+    })
+
+
+class _SeededHolds(Adversary):
+    """Holds each message that may still wait when a bit of ``seed`` picked by
+    the message and the pool size is set: a pure function of the
+    configuration, so repeats are detected. With ``unfair`` it also holds
+    messages at the cap, which the engine must refuse."""
+
+    def __init__(self, seed, hold_cap, deterministic, unfair):
+        self.seed, self.deterministic = seed, deterministic
+        self.limit = hold_cap + unfair
+
+    def decide(self, config):
+        k = len(config)
+        return frozenset((u, v) for u, v, age in config if age < self.limit
+                         and self.seed >> ((7 * u + 3 * v + 5 * age + k) % 64) & 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graph(), st.integers(1, 3), st.integers(0, 2**64 - 1), st.booleans(),
+       st.integers(1, 40), st.data())
+def test_engine_matches_the_triple_based_reference(g, hold_cap, seed, deterministic,
+                                                   max_rounds, data):
+    source = data.draw(st.integers(0, g.n - 1))
+    unfair = data.draw(st.sampled_from([False] * 4 + [True]))
+    runs = []
+    for run in (run_async, _reference_run):
+        try:
+            runs.append(run(g, source, _SeededHolds(seed, hold_cap, deterministic, unfair),
+                            max_rounds=max_rounds, hold_cap=hold_cap))
+        except UnfairScheduleError as exc:
+            runs.append(type(exc))
+    v, ref = runs
+    if UnfairScheduleError in (v, ref):
+        assert v is ref
+        return
+    *fields, rounds = ref
+    assert [v.outcome, v.termination_round, v.first_seen, v.period] == fields
+    assert len(v.rounds) == len(rounds)
+    for rec, (pool, delivered, held, receipts) in zip(v.rounds, rounds):
+        assert (rec.pool, rec.delivered, rec.held, rec.receipts) == (pool, delivered, held,
+                                                                    receipts)
+    assert v.round_sets == (frozenset((source,)), *(rec[3] for rec in rounds))
+    assert dumps_stable(v.to_json_obj()) == _reference_json(source, *ref)
 
 
 def test_engine_agrees_on_scripted_path_schedules():

@@ -189,6 +189,21 @@ def test_package_import_reaches_the_modules(tmp_path):
     assert res.stdout.split() == ["sweep", "parse_edge_list", "run_sync", "run_async"]
 
 
+@pytest.mark.parametrize("make", ["x = []; x.append(x)", "x = {}; x['k'] = x"],
+                         ids=["list", "dict"])
+def test_self_containing_json_fails_and_does_not_hang(tmp_path, make):
+    # dumps_stable skips json's cycle check, so a container holding itself is
+    # caught only by the recursion limit; run it apart, under a time limit.
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (f"from amflood.jsonio import dumps_stable\n{make}\n"
+             "try:\n    dumps_stable(x)\nexcept Exception as exc:\n"
+             "    print(type(exc).__name__)\n")
+    res = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stdout) == (0, "RecursionError\n"), res.stderr
+
+
 def _run_script(script, *args, stdout=subprocess.PIPE):
     root = Path(cli.__file__).resolve().parents[2]
     return subprocess.run([sys.executable, str(root / "scripts" / script), *args],

@@ -49,6 +49,9 @@ def test_parse_rejects_malformed_token_count():
     ("a b\r\n\x1cb  b\n", "line 3: self-loop"),
     ("1 2\n1 01\n", "line 2: self-loop"),  # one id written two ways
     ("0 0\n1 2 3\n", "line 2: expected two endpoints, got 3"),  # counts are checked first
+    # more digits than int() converts (4,300 by default), read as an over-limit id
+    pytest.param("0 1\n# x\n1 " + "1" * 5000 + "\n", "line 3: a node id of 5000 digits "
+                 "is over the limit of 1000000 nodes", id="5000-digit-id"),
 ])
 def test_parse_errors_name_the_line_behind_comments_and_blanks(text, message):
     with pytest.raises(GraphError, match=f"^{message}$"):
