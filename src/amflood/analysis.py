@@ -14,7 +14,7 @@ import os
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 from .graph import (DisconnectedGraphError, Edge, Graph, _acyclic, _bfs, diameter,
@@ -41,15 +41,7 @@ class ClassificationReport:
     theorem_applied: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "source": self.source,
-            "bipartite": self.bipartite,
-            "eccentricity": self.eccentricity,
-            "diameter": self.diameter,
-            "termination_round": self.termination_round,
-            "window_ok": self.window_ok,
-            "theorem_applied": self.theorem_applied,
-        }
+        return asdict(self)
 
 
 def _window_ok(j: int, e: int, diam: int, bipartite: bool) -> bool:
@@ -70,8 +62,7 @@ class AuditCheck:
     detail: str = ""
 
     def to_json_obj(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "node": self.node,
-                "round": self.round, "detail": self.detail}
+        return asdict(self)
 
 
 AUDIT_CHECKS = ("layer_containment", "frontier_sends", "ec_second_receipt",
@@ -174,12 +165,8 @@ def _audit(g: Graph, inboxes: Sequence[Inbox], receipts: Receipts, dist: list[in
             continue
         if echo is None or pair < echo:
             echo = pair
-    single = count.count(1) == n
-    if (missed is ec_late is echo is None and first == dist
-            and single == (ec_min is None)):
-        return _ALL_PASSED
-    # Each check's failure as (node, round, detail), or None when it passes.
-    failed = dict.fromkeys(AUDIT_CHECKS)
+    # Each failing check's (node, round, detail).
+    failed = {}
 
     # Every node's first receipt happens exactly at its BFS distance: the
     # layer at distance j is fully covered by round j and never touched earlier.
@@ -203,7 +190,7 @@ def _audit(g: Graph, inboxes: Sequence[Inbox], receipts: Receipts, dist: list[in
             f"ec node {v} second receipt at {second[v]}, expected {dist[v] + 1}")
 
     # All nodes receive exactly once if and only if there are no ec nodes.
-    if single != (ec_min is None):
+    if (count.count(1) == n) != (ec_min is None):
         if ec_min is not None:
             failed["single_visit_iff_no_ec"] = (
                 ec_min, None,
@@ -223,9 +210,10 @@ def _audit(g: Graph, inboxes: Sequence[Inbox], receipts: Receipts, dist: list[in
             w, second[w], f"neighbour {w} of {h} has second receipt {second[w]}, "
                           f"outside rounds {j - 1}..{j + 1}")
 
-    return TraceAudit(tuple(
-        _PASSED[name] if fail is None else AuditCheck(name, False, *fail)
-        for name, fail in failed.items()))
+    if not failed:
+        return _ALL_PASSED
+    return TraceAudit(tuple(AuditCheck(name, False, *failed[name]) if name in failed
+                            else check for name, check in _PASSED.items()))
 
 
 def analyze(g: Graph, source: int) -> tuple[ClassificationReport, TraceAudit]:
@@ -240,26 +228,21 @@ def analyze(g: Graph, source: int) -> tuple[ClassificationReport, TraceAudit]:
             audit)
 
 
-def _graphs(n: int, lo: int, hi: int):
+def _graphs(n: int, lo: int = 0, hi: int | None = None):
     """Yield, in mask order, each connected graph on 0..n-1 with edge mask in
-    [lo, hi) together with its BFS row from node 0, the row that proved it
-    connected; bit i of a mask is pair i of ``combinations(range(n), 2)``."""
+    [lo, hi), by default every mask, with its BFS row from node 0, the row
+    that proved it connected; bit i of a mask is pair i of ``combinations(range(n), 2)``."""
     pairs = tuple(combinations(range(n), 2))
-    for mask in range(lo, hi):
+    for mask in range(lo, 1 << len(pairs) if hi is None else hi):
         g = Graph(n=n, edges=tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
         row = _bfs(g, 0)
         if min(row) >= 0:
             yield g, row
 
 
-def _all_graphs(n: int):
-    """``_graphs`` over every edge mask on n nodes."""
-    return _graphs(n, 0, 1 << (n * (n - 1) // 2))
-
-
 def connected_graphs(n: int):
     """Yield every connected simple graph on the labeled vertex set 0..n-1."""
-    return (g for g, _ in _all_graphs(n))
+    return (g for g, _ in _graphs(n))
 
 
 @dataclass(frozen=True)
@@ -301,8 +284,8 @@ class SweepSummary:
 
 @dataclass
 class _Tally:
-    """Running sweep totals. A block of masks fills one; blocks merge in
-    mask order, so the totals never depend on how the work was split."""
+    """The sweep totals of one block of masks. sweep sums the blocks' tallies
+    in mask order, so the totals never depend on how the work was split."""
 
     graphs: int = 0
     runs: int = 0
@@ -310,14 +293,6 @@ class _Tally:
     max_j: int = 0
     hist: Counter[int] = field(default_factory=Counter)
     violations: list[SweepViolation] = field(default_factory=list)
-
-    def merge(self, other: "_Tally") -> None:
-        self.graphs += other.graphs
-        self.runs += other.runs
-        self.bipartite_runs += other.bipartite_runs
-        self.max_j = max(self.max_j, other.max_j)
-        self.hist.update(other.hist)
-        self.violations.extend(other.violations)
 
 
 def _examine_graph(g: Graph, row0: list[int], tally: _Tally) -> None:
@@ -343,6 +318,8 @@ def _examine_graph(g: Graph, row0: list[int], tally: _Tally) -> None:
             tally.max_j = max(tally.max_j, j)
             tally.hist[j - e] += 1
             found = []
+            # Unreachable past _flood: each of rounds 0..j is non-empty and it
+            # lets no node receive more than twice, so j+1 <= 2n, i.e. j <= 2n-1.
             if j >= 2 * g.n + 1:
                 found.append(("termination_bound",
                               f"j={j} not below 2n+1={2 * g.n + 1}"))
@@ -399,12 +376,11 @@ def sweep(n_max: int, jobs: int = 1) -> SweepSummary:
     else:
         parts = [_sweep_block(b) for b in blocks]
 
-    total = _Tally()
-    for part in parts:
-        total.merge(part)
-    return SweepSummary(n_max, total.graphs, total.runs, total.max_j,
-                        dict(sorted(total.hist.items())), total.bipartite_runs,
-                        tuple(total.violations))
+    hist = sum((p.hist for p in parts), Counter())
+    return SweepSummary(n_max, sum(p.graphs for p in parts), sum(p.runs for p in parts),
+                        max(p.max_j for p in parts), dict(sorted(hist.items())),
+                        sum(p.bipartite_runs for p in parts),
+                        tuple(v for p in parts for v in p.violations))
 
 
 @dataclass(frozen=True)
@@ -490,7 +466,7 @@ def find_sharp_example(n_max: int, target: tuple[int, int] = (2, 4)) -> SharpSea
     frontier: dict[tuple[int, int], SharpWitness] = {}
     n_searched = 0
     for n in range(2, n_max + 1):
-        for g, row0 in _all_graphs(n):
+        for g, row0 in _graphs(n):
             rows = [row0, *(_bfs(g, s) for s in range(1, n))]
             diam = max(map(max, rows))
             for source, row in enumerate(rows):

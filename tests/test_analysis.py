@@ -12,8 +12,8 @@ from amflood import analysis, sync_engine
 from amflood.analysis import (AUDIT_CHECKS, BIPARTITE_EXACT, NONBIPARTITE_WINDOW,
                               _audit, _edge_bits, analyze, audit_trace, classify,
                               connected_graphs, find_sharp_example, sweep)
-from amflood.graph import (_bfs, diameter, distance_profile, gen_named,
-                           is_bipartite, parse_edge_list)
+from amflood.graph import (DisconnectedGraphError, _bfs, diameter, distance_profile,
+                           gen_named, is_bipartite, parse_edge_list)
 from amflood.jsonio import dumps_stable
 from amflood.sync_engine import round_multiplicity, run_sync
 
@@ -114,6 +114,36 @@ def test_audit_trace_rejects_a_trace_from_another_source():
     g = gen_named("cycle", 5)
     with pytest.raises(ValueError, match="^trace was recorded from source 0, not 1$"):
         audit_trace(g, 1, run_sync(g, 0))
+
+
+def test_audit_flags_an_early_receipt_the_other_checks_miss():
+    # A triangle 0-1-2 with node 3 hung on 2, flooded from 0. Node 3 (distance
+    # 2) also hears from 2 in round 1 and not in round 3: its receipts move to
+    # rounds 1 and 2, every send the other four checks read is still there,
+    # and only its first receipt is out of its layer.
+    g = parse_edge_list("0 1\n0 2\n1 2\n2 3")
+    inboxes = list(run_sync(g, 0).inboxes)
+    inboxes[1] = {**inboxes[1], **sync_engine._inbox(g, [(2, 3)])}
+    inboxes[3] = {v: m for v, m in inboxes[3].items() if v != 3}
+    audit = audit_trace(g, 0, sync_engine.Trace(g, 0, tuple(inboxes), 3))
+    assert [(c.name, c.node, c.round, c.detail) for c in audit.failures] == [
+        ("layer_containment", 3, 1, "first receipt of 3 at 1, distance 2")]
+
+
+def test_audit_flags_single_receipts_on_a_graph_with_ec_nodes():
+    # the triangle from 0 cut after round 1: nodes 1 and 2 share a distance
+    # yet neither hears a second time
+    g = gen_named("cycle", 3)
+    trace = sync_engine.Trace(g, 0, ({0: 0}, sync_engine._inbox(g, [(0, 1), (0, 2)])), 1)
+    checks = {c.name: c for c in audit_trace(g, 0, trace).failures}
+    assert checks["single_visit_iff_no_ec"].detail == (
+        "ec nodes exist (1) but every node received exactly once")
+
+
+def test_audit_trace_rejects_a_disconnected_graph():
+    g = parse_edge_list("0 1\n2 3")
+    with pytest.raises(DisconnectedGraphError, match="^the audit needs a connected graph$"):
+        audit_trace(g, 0, sync_engine.Trace(g, 0, ({0: 0}, {1: 1}), 1))
 
 
 def test_analyze_combines_both_views():
@@ -221,6 +251,24 @@ def test_sweep_reports_a_faulty_kernel(monkeypatch):
                                                 "audit:layer_containment"}
     # pinned bytes of the whole summary, violations and their traces included
     assert _digest(s) == "c2d733c95f4f8e015f13f7500d57828bfdc3a007c9e648c0f0fce194c1a6700e"
+
+
+def test_sweep_reports_a_run_past_the_termination_bound(monkeypatch):
+    # _flood never ends a run at round 2n+1 or later (see the check's proof),
+    # so pad each run with empty rounds to 2n+2 round-sets, which no node
+    # receives in and so passes the multiplicity guard: on n = 2 that ends
+    # the run at j = 5 = 2n+1, the first round the bound rejects.
+    flood = sync_engine._flood
+
+    def padded(g, source):
+        inboxes = flood(g, source)[0]
+        inboxes += [{}] * (2 * g.n + 2 - len(inboxes))
+        return inboxes, sync_engine._receipts(g.n, inboxes)
+
+    monkeypatch.setattr(analysis, "_flood", padded)
+    s = sweep(2)
+    bound = [(v.source, v.detail) for v in s.violations if v.check == "termination_bound"]
+    assert bound == [(0, "j=5 not below 2n+1=5"), (1, "j=5 not below 2n+1=5")]
 
 
 def test_sweep_keeps_the_trace_of_a_mid_run_error(monkeypatch):
@@ -333,6 +381,12 @@ def test_find_sharp_reaches_target_by_n6():
     rep = classify(w.graph, w.source)
     assert (rep.eccentricity, rep.diameter, rep.termination_round) == (2, 4, 7)
     assert _digest(r) == "9e19a4ce1f91804ad91fe7cac6b3d701f22926ccfe91b8fd64ac8b4f9c951f6f"
+
+
+def test_find_sharp_rejects_bad_n_max():
+    for n_max in (1, 9):
+        with pytest.raises(ValueError, match=f"^n_max must be between 2 and 8, got {n_max}$"):
+            find_sharp_example(n_max)
 
 
 def test_find_sharp_absent_target_reports_frontier():

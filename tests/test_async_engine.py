@@ -114,10 +114,34 @@ def test_fig6_replay_segment_repeats_exactly():
         assert a.pool == b.pool and a.held == b.held
 
 
+class _Fig6ThenSilent(HoldSecondSenderAdversary):
+    """Declares itself deterministic, yet holds as fig6 only for its first
+    five decisions and never after."""
+
+    decisions = 0
+
+    def decide(self, config):
+        self.decisions += 1
+        return super().decide(config) if self.decisions <= 5 else frozenset()
+
+
+def test_cycle_certificate_catches_a_falsely_deterministic_adversary():
+    # round 7 starts from round 3's pool, as under fig6, but the replay's
+    # first decision no longer holds, so its next pool is not round 4's
+    with pytest.raises(InternalInvariantError,
+                       match="^configuration cycle failed to replay$"):
+        run_async(TRIANGLE, 0, _Fig6ThenSilent())
+
+
 def test_small_budget_exhausts_before_cycle():
     v = run_async(TRIANGLE, 1, HoldSecondSenderAdversary(), max_rounds=2)
     assert v.outcome == OUTCOME_EXHAUSTED
     assert v.termination_round is None
+
+
+def test_zero_round_budget_is_rejected():
+    with pytest.raises(ValueError, match="^max_rounds must be >= 1, got 0$"):
+        run_async(TRIANGLE, 0, ZeroDelayAdversary(), max_rounds=0)
 
 
 # ----------------------------------------------------------------- fairness
@@ -405,6 +429,17 @@ def test_async_json_shape():
 def test_to_sync_trace_refuses_held_runs():
     v = run_async(TRIANGLE, 1, HoldSecondSenderAdversary(), max_rounds=16)
     with pytest.raises(ValueError):
+        v.to_sync_trace()
+
+
+def test_to_sync_trace_refuses_a_terminated_run_with_holds():
+    class HoldFirstSend(Adversary):
+        def decide(self, config):
+            return frozenset({(0, 1)}) if (0, 1, 0) in config else frozenset()
+
+    v = run_async(gen_named("path", 3), 0, HoldFirstSend())
+    assert v.outcome == OUTCOME_TERMINATED and v.rounds[0].held == {(0, 1, 0)}
+    with pytest.raises(ValueError, match="^run used holds; "):
         v.to_sync_trace()
 
 
