@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Builds or loads a graph, runs one flooding mode, audits a run, or sweeps all
-small graphs, always emitting byte-stable JSON. Exit codes partition the
-outcomes: 0 success/terminated, 1 property violation, 2 input error, 3 cycle
-detected (async), 4 round budget exhausted.
+Builds or loads a graph, runs one flooding mode, audits a run, sweeps all
+small graphs, or searches them for runs attaining j = e+d+1, always emitting
+byte-stable JSON. Exit codes partition the outcomes: 0 success/terminated,
+1 property violation or sharpness target not attained, 2 input error,
+3 cycle detected (async), 4 round budget exhausted.
 """
 
 from __future__ import annotations
@@ -177,6 +178,13 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if not summary.violations else EXIT_VIOLATION
 
 
+def _cmd_sharp(args) -> int:
+    result = analysis.find_sharp_example(args.n_max,
+                                         target=(args.eccentricity, args.diameter))
+    _emit(sys.stdout, result.to_json_obj())
+    return EXIT_OK if result.target is not None else EXIT_VIOLATION
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error like every other input error: exit 2 with one
     line on stderr."""
@@ -214,6 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_sw.add_argument("--out", default=None)
     p_sw.set_defaults(func=_cmd_sweep)
+
+    p_sh = sub.add_parser("sharp",
+                          help="search small graphs for runs attaining j = e+d+1")
+    p_sh.add_argument("--n-max", type=int, default=8, help="largest node count (<= 8)")
+    p_sh.add_argument("--eccentricity", type=int, default=2,
+                      help="target source eccentricity")
+    p_sh.add_argument("--diameter", type=int, default=4, help="target diameter")
+    p_sh.set_defaults(func=_cmd_sharp)
     return ap
 
 
@@ -224,7 +240,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # GraphError and UnfairScheduleError included
         print(f"amflood: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -426,9 +426,9 @@ def test_async_json_shape():
     assert rec["pool"] == sorted(rec["pool"])
 
 
-def test_to_sync_trace_refuses_held_runs():
+def test_to_sync_trace_refuses_a_run_that_did_not_terminate():
     v = run_async(TRIANGLE, 1, HoldSecondSenderAdversary(), max_rounds=16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^run did not terminate"):
         v.to_sync_trace()
 
 

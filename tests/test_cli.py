@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,14 +12,18 @@ from pathlib import Path
 import pytest
 
 from amflood import async_engine, cli, sync_engine
-from amflood.analysis import connected_graphs
+from amflood.analysis import connected_graphs, find_sharp_example
+from amflood.jsonio import dumps_stable
 from amflood.sync_engine import InternalInvariantError
 
 from conftest import arcs_to_masks, masks_to_arcs
 
 
 def _run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse reports usage errors by exiting
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -149,13 +154,11 @@ def test_bad_seed_variable_is_named(capsys, monkeypatch):
     ("run", "--named", "cycle:5"),
     ("run", "--named", "cycle:5", "--source", "0", "--max-rounds", "x"),
     ("sweep", "--n-max", "3", "--bogus"),
+    ("sweep", "--n-max", "8"),
+    ("sharp", "--n-max", "9"),
 ])
 def test_input_errors_exit_two(capsys, argv):
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:  # argparse reports usage errors by exiting
-        code = exc.code
-    out, err = capsys.readouterr()
+    code, out, err = _run(capsys, *argv)
     assert code == cli.EXIT_INPUT_ERROR
     assert out == ""
     assert len(err.strip().splitlines()) == 1
@@ -204,35 +207,31 @@ def test_self_containing_json_fails_and_does_not_hang(tmp_path, make):
     assert (res.returncode, res.stdout) == (0, "RecursionError\n"), res.stderr
 
 
-def _run_script(script, *args, stdout=subprocess.PIPE):
-    root = Path(cli.__file__).resolve().parents[2]
-    return subprocess.run([sys.executable, str(root / "scripts" / script), *args],
-                          env={**os.environ, "PYTHONPATH": str(root / "src")},
-                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+@pytest.mark.parametrize("argv, code", [
+    (("--n-max", "4", "--eccentricity", "1", "--diameter", "1"), cli.EXIT_OK),
+    (("--n-max", "3", "--eccentricity", "2", "--diameter", "4"), cli.EXIT_VIOLATION),
+], ids=["attained", "not_attained"])
+def test_sharp_prints_the_search(capsys, argv, code):
+    got, out, err = _run(capsys, "sharp", *argv)
+    n_max, e, d = map(int, argv[1::2])
+    assert (got, err) == (code, "")
+    assert out == dumps_stable(find_sharp_example(n_max, target=(e, d)).to_json_obj())
 
 
-@pytest.mark.parametrize("script, args", [
-    ("run_sweep.py", ["--n-max", "8"]),
-    ("run_sweep.py", ["--n-max", "3", "--jobs", "-3"]),
-    ("find_sharp_witness.py", ["--n-max", "9"]),
-])
-def test_scripts_exit_two_on_bad_arguments(script, args):
-    res = _run_script(script, *args)
-    assert res.returncode == 2
-    assert res.stdout == ""
-    assert res.stderr.startswith(f"{script}: ")
-    assert len(res.stderr.strip().splitlines()) == 1
+def test_sharp_defaults():
+    args = cli.build_parser().parse_args(["sharp"])
+    assert (args.n_max, args.eccentricity, args.diameter) == (8, 2, 4)
 
 
-@pytest.mark.parametrize("script, args, message", [
-    ("run_sweep.py", ["--n-max", "x"], "argument --n-max: invalid int value: 'x'"),
-    ("find_sharp_witness.py", ["--diameter"], "argument --diameter: expected one argument"),
-])
-def test_script_usage_errors_are_one_line(script, args, message):
-    res = _run_script(script, *args)
-    assert res.returncode == 2
-    assert res.stdout == ""
-    assert res.stderr == f"{script}: error: {message}\n"
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "--n-max", "x"), "argument --n-max: invalid int value: 'x'"),
+    (("sharp", "--diameter"), "argument --diameter: expected one argument"),
+], ids=["sweep", "sharp"])
+def test_sweep_and_sharp_usage_errors_are_one_line(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == f"amflood {argv[0]}: error: {message}\n"
 
 
 def test_empty_named_graph_is_reported_as_unknown(capsys):
@@ -246,7 +245,7 @@ DEV_FULL = Path("/dev/full")
 needs_dev_full = pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full")
 
 
-@pytest.mark.parametrize("command", ["run", "analyze", "sweep", "run_sweep.py"])
+@pytest.mark.parametrize("command", ["run", "analyze", "sweep"])
 @pytest.mark.parametrize("target", [
     "missing_dir", "directory", pytest.param("dev_full", marks=needs_dev_full)])
 def test_unwritable_out_exits_two(tmp_path, capsys, command, target):
@@ -255,31 +254,39 @@ def test_unwritable_out_exits_two(tmp_path, capsys, command, target):
                 "dev_full": DEV_FULL}[target]
     args = {"run": ["--named", "cycle:3", "--source", "0"],
             "analyze": ["--named", "cycle:3", "--source", "0"],
-            "sweep": ["--n-max", "3"],
-            "run_sweep.py": ["--n-max", "3"]}[command] + ["--out", str(out_path)]
-    if command == "run_sweep.py":
-        res = _run_script(command, *args)
-        code, out, err, prog = res.returncode, res.stdout, res.stderr, command
-    else:
-        code, out, err = _run(capsys, command, *args)
-        prog = "amflood"
+            "sweep": ["--n-max", "3"]}[command] + ["--out", str(out_path)]
+    code, out, err = _run(capsys, command, *args)
     assert code == cli.EXIT_INPUT_ERROR
     assert out == ""
-    assert err.startswith(f"{prog}: cannot write {out_path}: ")
+    assert err.startswith(f"amflood: cannot write {out_path}: ")
     assert len(err.splitlines()) == 1 and err.endswith("\n")
 
 
 @needs_dev_full
-@pytest.mark.parametrize("script, args", [
-    ("find_sharp_witness.py", ["--n-max", "4", "--eccentricity", "1", "--diameter", "1"]),
-    ("run_sweep.py", ["--n-max", "3"]),
-])
-def test_scripts_report_a_failed_stdout_write_in_one_line(script, args):
+@pytest.mark.parametrize("argv", [
+    ("sharp", "--n-max", "4", "--eccentricity", "1", "--diameter", "1"),
+    ("sweep", "--n-max", "3"),
+], ids=["sharp", "sweep"])
+def test_sweep_and_sharp_report_a_failed_stdout_write_in_one_line(argv):
+    src = Path(cli.__file__).resolve().parents[1]
     with DEV_FULL.open("w") as full:
-        res = _run_script(script, *args, stdout=full)
-    assert res.returncode == 2
-    assert res.stderr == (f"{script}: cannot write <stdout>: "
+        res = subprocess.run([sys.executable, "-m", "amflood", *argv],
+                             env={**os.environ, "PYTHONPATH": str(src)},
+                             stdout=full, stderr=subprocess.PIPE, text=True)
+    assert res.returncode == cli.EXIT_INPUT_ERROR
+    assert res.stderr == ("amflood: cannot write <stdout>: "
                           "[Errno 28] No space left on device\n")
+
+
+def test_module_entry_exits_two_on_bad_jobs():
+    src = Path(cli.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-m", "amflood", "sweep", "--n-max", "3",
+                          "--jobs", "-3"],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == cli.EXIT_INPUT_ERROR
+    assert res.stdout == ""
+    assert res.stderr == "amflood: --jobs must be >= 1, got -3\n"
 
 
 def _spy_open(monkeypatch):
@@ -300,6 +307,20 @@ def test_failed_write_closes_the_out_file(capsys, monkeypatch):
                       "--out", str(DEV_FULL))
     assert code == cli.EXIT_INPUT_ERROR
     assert [fh.closed for fh in opened] == [True]
+
+
+def test_failed_close_after_the_write_exits_two(tmp_path, capsys, monkeypatch):
+    # the write and its flush succeed; only the final close fails
+    class CloseFails(io.StringIO):
+        def close(self):
+            raise OSError(5, "Input/output error")
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: CloseFails(),
+                        raising=False)
+    path = tmp_path / "trace.json"
+    code, out, err = _run(capsys, "run", "--named", "cycle:3", "--source", "0",
+                          "--out", str(path))
+    assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
+    assert err == f"amflood: cannot write {path}: [Errno 5] Input/output error\n"
 
 
 def test_computation_error_is_not_a_write_error(tmp_path, monkeypatch):
@@ -333,18 +354,6 @@ def test_unwritable_out_fails_before_the_computation(tmp_path, capsys, monkeypat
     assert out == ""
     assert err.startswith(f"amflood: cannot write {tmp_path}: ")
     assert len(err.strip().splitlines()) == 1
-
-
-def test_run_sweep_script_opens_out_before_the_sweep(tmp_path):
-    # the n=7 sweep takes minutes, so only an early failure meets the timeout
-    root = Path(cli.__file__).resolve().parents[2]
-    res = subprocess.run([sys.executable, str(root / "scripts" / "run_sweep.py"),
-                          "--n-max", "7", "--out", str(tmp_path)],
-                         env={**os.environ, "PYTHONPATH": str(root / "src")},
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 2
-    assert res.stderr.startswith(f"run_sweep.py: cannot write {tmp_path}: ")
-    assert len(res.stderr.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
