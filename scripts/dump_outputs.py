@@ -13,7 +13,8 @@ cut by ``--max-rounds``, and in ``async:zero`` with hold caps 1 and 3, and
 ``analyze`` on it from nodes 0 and 17;
 ``run`` in each mode and ``analyze`` from node 0 of a disconnected edge list;
 and the input-error cases, three of them edge lists with a bad line behind
-a comment: a self-loop, three endpoints and a 5,000-digit id. A CLI file
+a comment: a self-loop, three endpoints and a 5,000-digit id, and the last
+one a sharpness target no graph attains. A CLI file
 holds stdout, then ``exit=CODE``, then stderr. Exit code 2 on a bad argument.
 """
 
@@ -68,6 +69,7 @@ INPUT_ERRORS = [
     ("sweep", "--n-max", "8"),
     ("sweep", "--n-max", "3", "--jobs", "0"),
     ("sweep", "--n-max", "3", "--out", "."),
+    ("sharp", "--eccentricity", "5", "--diameter", "2"),
 ]
 
 

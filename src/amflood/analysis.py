@@ -460,9 +460,15 @@ def find_sharp_example(n_max: int, target: tuple[int, int] = (2, 4)) -> SharpSea
     count where a witness with (eccentricity, diameter) == ``target`` has been
     seen, so everything reported as minimal really is minimal. If the target
     is never attained, the attained frontier up to ``n_max`` is the answer.
+    A target with e < 1 or e > d, which no source of a graph with n >= 2
+    attains, is refused before any graph is built.
     """
     if not 2 <= n_max <= 8:
         raise ValueError(f"n_max must be between 2 and 8, got {n_max}")
+    e, d = target
+    if not 1 <= e <= d:
+        raise ValueError(f"no graph has a source of eccentricity {e} and diameter {d}: "
+                         f"need 1 <= eccentricity <= diameter")
     frontier: dict[tuple[int, int], SharpWitness] = {}
     n_searched = 0
     for n in range(2, n_max + 1):

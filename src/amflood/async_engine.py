@@ -150,7 +150,6 @@ class AsyncVerdict:
     """Outcome of a round-asynchronous run plus its full per-round record."""
 
     graph: Graph = field(compare=False, repr=False)
-    n: int
     source: int
     outcome: str
     termination_round: int | None
@@ -250,7 +249,7 @@ def run_async(g: Graph, source: int, adversary: Adversary,
     def verdict(outcome: str, termination_round: int | None = None,
                 first_seen: int | None = None, period: int | None = None):
         round_sets = (frozenset((source,)), *(rec.receipts for rec in rounds))
-        return AsyncVerdict(g, g.n, source, outcome, termination_round, first_seen,
+        return AsyncVerdict(g, source, outcome, termination_round, first_seen,
                             period, tuple(rounds), round_sets)
 
     seen: dict[tuple[frozenset, ...], int] = {}

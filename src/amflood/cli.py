@@ -84,9 +84,11 @@ def _parse_mode(mode: str) -> tuple[str, str | None, int]:
             known = ", ".join(sorted(async_engine.ADVERSARIES))
             raise GraphError(f"unknown adversary {name!r} (known: {known})")
         try:
-            return "async", name, int(cap) if cap else 1
+            hold_cap = int(cap) if cap else 1
         except ValueError:
             raise GraphError(f"bad hold cap in {mode!r}") from None
+        _check_positive("hold_cap", hold_cap)
+        return "async", name, hold_cap
     raise GraphError(f"unknown mode {mode!r}")
 
 

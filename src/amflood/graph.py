@@ -120,14 +120,12 @@ class Graph:
 
     @functools.cached_property
     def connected(self) -> bool:
+        """Whether a BFS from node 0 reaches every node, run once per graph."""
         return -1 not in _bfs(self, 0)
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def check_node(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -177,37 +175,27 @@ def _bfs(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def is_connected(g: Graph) -> bool:
-    """Whether a BFS from node 0 reaches every node, run once per graph."""
-    return g.connected
-
-
 @dataclass(frozen=True)
 class DistanceProfile:
-    """Breadth-first layers around a source; layer j holds the nodes at hop distance j."""
+    """Hop distances from a source, ``dist[v]`` for node v, and their maximum."""
 
     source: int
     dist: tuple[int, ...]
-    layers: tuple[frozenset[int], ...]
     eccentricity: int
 
 
 def distance_profile(g: Graph, source: int) -> DistanceProfile:
-    """BFS layers and eccentricity of ``source``. Rejects disconnected graphs."""
+    """BFS distances and eccentricity of ``source``. Rejects disconnected graphs."""
     g.check_node(source)
     dist = _bfs(g, source)
     if min(dist) < 0:
         raise DisconnectedGraphError("distance profile needs a connected graph")
-    ecc = max(dist)
-    layers: list[set[int]] = [set() for _ in range(ecc + 1)]
-    for v, d in enumerate(dist):
-        layers[d].add(v)
-    return DistanceProfile(source, tuple(dist), tuple(frozenset(s) for s in layers), ecc)
+    return DistanceProfile(source, tuple(dist), max(dist))
 
 
 def diameter(g: Graph) -> int:
     """Maximum eccentricity over all sources. Rejects disconnected graphs."""
-    if not is_connected(g):
+    if not g.connected:
         raise DisconnectedGraphError("diameter needs a connected graph")
     return max(max(_bfs(g, s)) for s in range(g.n))
 
@@ -255,24 +243,6 @@ def is_bipartite(g: Graph) -> BipartiteResult:
                 elif color[w] == color[u]:
                     return BipartiteResult(False, None, _odd_cycle(parent, u, w))
     return BipartiteResult(True, tuple(color), None)
-
-
-@dataclass(frozen=True)
-class EcReport:
-    """Equidistantly-connected nodes: nodes adjacent to another node in the
-    same breadth-first layer around ``source``."""
-
-    source: int
-    ec_nodes: frozenset[int]
-    witness_edges: tuple[Edge, ...]
-
-
-def ec_nodes(g: Graph, source: int) -> EcReport:
-    """Exact set of equidistantly-connected nodes with their witness edges."""
-    dist = distance_profile(g, source).dist
-    wit = tuple(e for e in g.edges if dist[e[0]] == dist[e[1]])
-    members = frozenset(v for e in wit for v in e)
-    return EcReport(source, members, wit)
 
 
 @_acyclic

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import DisconnectedGraphError, Graph, _acyclic, is_connected
+from .graph import DisconnectedGraphError, Graph, _acyclic
 
 Arc = tuple[int, int]
 Configuration = frozenset[Arc]
@@ -159,7 +159,7 @@ def _check_floodable(g: Graph, source: int) -> None:
     """The precondition both engines check first: ``source`` is a node of a
     connected ``g``."""
     g.check_node(source)
-    if not is_connected(g):
+    if not g.connected:
         raise DisconnectedGraphError("flooding needs a connected graph")
 
 
@@ -198,13 +198,11 @@ def _flood(g: Graph, source: int,
     if max_rounds is None:
         max_rounds = 2 * g.n + 2
     inboxes: list[Inbox] = [{source: 0}]
-    inbox = {w: 1 << i for w, i in zip(g.adj[source], g.rev[source])}
-    while inbox:
+    while inbox := _forward(g, inboxes[-1]):
         if len(inboxes) > max_rounds:
             raise RoundBudgetError(f"still active after {max_rounds} rounds on n={g.n}",
                                    Trace(g, source, tuple(inboxes), None))
         inboxes.append(inbox)
-        inbox = _forward(g, inbox)
     receipts = _receipts(g.n, inboxes)
     most = max(receipts.count)
     if most > 2:

@@ -14,7 +14,7 @@ from amflood.analysis import classify, find_sharp_example, sweep
 from amflood.async_engine import (OUTCOME_CYCLE, OUTCOME_TERMINATED,
                                   HoldSecondSenderAdversary, ZeroDelayAdversary,
                                   run_async)
-from amflood.graph import (gen_named, gen_random, is_bipartite, is_connected)
+from amflood.graph import gen_named, gen_random, is_bipartite
 from amflood.jsonio import dumps_stable
 from amflood.sync_engine import run_sync
 
@@ -95,7 +95,7 @@ def test_criterion_3_cross_oracle_on_random_graphs():
         n = 4 + seed % 27              # 4..30
         p = (0.15, 0.3, 0.6)[seed % 3]
         g = gen_random(n, p, seed)
-        if not is_connected(g):
+        if not g.connected:
             continue
         checked += 1
         source = seed % n

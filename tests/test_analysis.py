@@ -236,6 +236,8 @@ def test_sweep_reports_a_faulty_kernel(monkeypatch):
     forward = sync_engine._forward
 
     def dropping(g, inbox):
+        if not any(inbox.values()):  # the source's start inbox goes through unchanged
+            return forward(g, inbox)
         out = masks_to_arcs(g, forward(g, inbox))
         return arcs_to_masks(g, out - {max(out)} if out else out)
 
@@ -251,6 +253,23 @@ def test_sweep_reports_a_faulty_kernel(monkeypatch):
                                                 "audit:layer_containment"}
     # pinned bytes of the whole summary, violations and their traces included
     assert _digest(s) == "c2d733c95f4f8e015f13f7500d57828bfdc3a007c9e648c0f0fce194c1a6700e"
+
+
+def test_sweep_reports_a_kernel_that_loses_round_one(monkeypatch):
+    # Round 1 comes from the kernel too: a kernel that sends nothing from the
+    # source's start inbox ends every run at round 0, which the sweep must
+    # flag on every run and run_sync must show.
+    forward = sync_engine._forward
+
+    def silent_start(g, inbox):
+        return {} if not any(inbox.values()) else forward(g, inbox)
+
+    monkeypatch.setattr(sync_engine, "_forward", silent_start)
+    s = sweep(3, jobs=1)
+    assert s.runs == 14
+    assert {(v.edges, v.source) for v in s.violations} == {
+        (g.edges, source) for n in (2, 3) for g in connected_graphs(n) for source in range(n)}
+    assert run_sync(gen_named("cycle", 5), 0).termination_round == 0
 
 
 def test_sweep_reports_a_run_past_the_termination_bound(monkeypatch):
@@ -275,7 +294,11 @@ def test_sweep_keeps_the_trace_of_a_mid_run_error(monkeypatch):
     # A kernel that answers every send with its reverse never drains, so
     # every run stops in the middle at the 2n+2 guard; each violation must
     # carry the partial trace up to it.
+    forward = sync_engine._forward
+
     def bouncing(g, inbox):
+        if not any(inbox.values()):  # the source's start inbox goes through unchanged
+            return forward(g, inbox)
         return arcs_to_masks(g, {(v, u) for u, v in masks_to_arcs(g, inbox)})
 
     monkeypatch.setattr(sync_engine, "_forward", bouncing)
@@ -387,6 +410,20 @@ def test_find_sharp_rejects_bad_n_max():
     for n_max in (1, 9):
         with pytest.raises(ValueError, match=f"^n_max must be between 2 and 8, got {n_max}$"):
             find_sharp_example(n_max)
+
+
+@pytest.mark.parametrize("target", [(5, 2), (0, 3), (-1, -1), (3, 0)])
+def test_find_sharp_refuses_a_target_no_graph_attains(monkeypatch, target):
+    # 1 <= e <= d holds for every source of a graph with n >= 2, so such a
+    # target is refused before a single graph is built
+    def no_graphs(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(analysis, "_graphs", no_graphs)
+    e, d = target
+    with pytest.raises(ValueError, match=rf"^no graph has a source of eccentricity {e} "
+                                         rf"and diameter {d}: "):
+        find_sharp_example(8, target=target)
 
 
 def test_find_sharp_absent_target_reports_frontier():

@@ -144,6 +144,12 @@ def test_zero_round_budget_is_rejected():
         run_async(TRIANGLE, 0, ZeroDelayAdversary(), max_rounds=0)
 
 
+def test_zero_hold_cap_is_rejected():
+    # the CLI refuses such a cap itself, before it opens --out
+    with pytest.raises(ValueError, match="^hold_cap must be >= 1, got 0$"):
+        run_async(TRIANGLE, 0, ZeroDelayAdversary(), hold_cap=0)
+
+
 # ----------------------------------------------------------------- fairness
 
 class _Stubborn(Adversary):

@@ -156,6 +156,7 @@ def test_bad_seed_variable_is_named(capsys, monkeypatch):
     ("sweep", "--n-max", "3", "--bogus"),
     ("sweep", "--n-max", "8"),
     ("sharp", "--n-max", "9"),
+    ("sharp", "--eccentricity", "5", "--diameter", "2"),
 ])
 def test_input_errors_exit_two(capsys, argv):
     code, out, err = _run(capsys, *argv)
@@ -457,10 +458,28 @@ def test_non_positive_budget_or_jobs_exits_two(capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--mode", "async:zero,0"), "hold_cap must be >= 1, got 0"),
+    (("--mode", "async:fig6,-1"), "hold_cap must be >= 1, got -1"),
+    (("--max-rounds", "0"), "--max-rounds must be >= 1, got 0"),
+], ids=["hold_cap_0", "hold_cap_negative", "max_rounds_0"])
+def test_bad_budget_leaves_the_out_file_alone(tmp_path, capsys, flags, message):
+    out_path = tmp_path / "out.json"
+    out_path.write_text("old\n")
+    code, out, err = _run(capsys, "run", "--named", "cycle:3", "--source", "0", *flags,
+                          "--out", str(out_path))
+    assert (code, out, err) == (cli.EXIT_INPUT_ERROR, "", f"amflood: {message}\n")
+    assert out_path.read_text() == "old\n"
+
+
 def test_default_guard_breach_stays_internal_error(capsys, monkeypatch):
     # A kernel that bounces every arc back never drains; without a user
     # budget that is an engine bug, not an exhausted budget.
+    forward = sync_engine._forward
+
     def bouncing(g, inbox):
+        if not any(inbox.values()):  # the source's start inbox goes through unchanged
+            return forward(g, inbox)
         return arcs_to_masks(g, {(v, u) for u, v in masks_to_arcs(g, inbox)})
 
     monkeypatch.setattr(sync_engine, "_forward", bouncing)

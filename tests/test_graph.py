@@ -7,8 +7,8 @@ from hypothesis import given, settings
 
 from amflood.graph import (MAX_EDGES, MAX_NODES, DisconnectedGraphError, Graph,
                            GraphError, diameter,
-                           distance_profile, ec_nodes, gen_named, gen_random,
-                           is_bipartite, is_connected, parse_edge_list,
+                           distance_profile, gen_named, gen_random,
+                           is_bipartite, parse_edge_list,
                            render_edge_list)
 
 from conftest import connected_graph
@@ -126,14 +126,14 @@ def test_graph_validates_construction():
 def test_hypercube3():
     g = gen_named("hypercube", 3)
     assert g.n == 8 and g.m == 12
-    assert all(g.degree(v) == 3 for v in range(8))
+    assert all(len(nbrs) == 3 for nbrs in g.adj)
     assert is_bipartite(g).bipartite
 
 
 def test_petersen():
     g = gen_named("petersen")
     assert g.n == 10 and g.m == 15
-    assert all(g.degree(v) == 3 for v in range(10))
+    assert all(len(nbrs) == 3 for nbrs in g.adj)
     assert diameter(g) == 2
     assert not is_bipartite(g).bipartite
 
@@ -217,30 +217,28 @@ def test_distance_profile_path_end():
     g = gen_named("path", 4)
     prof = distance_profile(g, 0)
     assert prof.eccentricity == 3
-    assert [len(layer) for layer in prof.layers] == [1, 1, 1, 1]
+    assert prof.dist == (0, 1, 2, 3)
 
 
 def test_distance_profile_petersen():
     prof = distance_profile(gen_named("petersen"), 3)
     assert prof.eccentricity == 2
-    assert [len(layer) for layer in prof.layers] == [1, 3, 6]
+    assert sorted(prof.dist) == [0, 1, 1, 1, 2, 2, 2, 2, 2, 2]
 
 
 def test_distance_profile_cycle5():
     prof = distance_profile(gen_named("cycle", 5), 1)
     assert prof.eccentricity == 2
-    assert [len(layer) for layer in prof.layers] == [1, 2, 2]
+    assert prof.dist == (1, 0, 1, 2, 2)
 
 
 def test_disconnected_rejected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert not is_connected(g)
+    assert not g.connected
     with pytest.raises(DisconnectedGraphError):
         distance_profile(g, 0)
     with pytest.raises(DisconnectedGraphError):
         diameter(g)
-    with pytest.raises(DisconnectedGraphError):
-        ec_nodes(g, 0)
 
 
 def test_diameter_values():
@@ -268,30 +266,6 @@ def test_bipartite_petersen_odd_cycle_witness():
         assert (min(u, v), max(u, v)) in g.edges
 
 
-def test_ec_nodes_even_cycle_empty():
-    rep = ec_nodes(gen_named("cycle", 6), 2)
-    assert rep.ec_nodes == frozenset()
-    assert rep.witness_edges == ()
-
-
-def test_ec_nodes_triangle():
-    g = parse_edge_list("a b\nb c\nc a")
-    rep = ec_nodes(g, g.resolve("b"))
-    assert rep.ec_nodes == frozenset({g.resolve("a"), g.resolve("c")})
-    assert rep.witness_edges == ((0, 2),)
-
-
-def test_ec_nodes_cycle5_antipodal_layer():
-    # the two nodes in the far layer are adjacent, hence both ec
-    g = gen_named("cycle", 5)
-    prof = distance_profile(g, 1)
-    far = prof.layers[2]
-    rep = ec_nodes(g, 1)
-    assert rep.ec_nodes == far
-    (e,) = rep.witness_edges
-    assert set(e) == set(far)
-
-
 # -------------------------------------------------------------- properties
 
 @settings(max_examples=80)
@@ -299,9 +273,9 @@ def test_ec_nodes_cycle5_antipodal_layer():
 def test_layers_partition_nodes(g):
     for source in range(g.n):
         prof = distance_profile(g, source)
-        assert len(prof.layers) == prof.eccentricity + 1
-        seen = [v for layer in prof.layers for v in layer]
-        assert sorted(seen) == list(range(g.n))
+        # every node sits in one layer 0..e, and no layer is empty
+        assert set(prof.dist) == set(range(prof.eccentricity + 1))
+        assert [v for v in range(g.n) if prof.dist[v] == 0] == [source]
 
 
 @settings(max_examples=80)
@@ -309,7 +283,8 @@ def test_layers_partition_nodes(g):
 def test_bipartite_iff_no_ec_nodes_every_source(g):
     bip = is_bipartite(g).bipartite
     for source in range(g.n):
-        assert bip == (not ec_nodes(g, source).ec_nodes)
+        dist = distance_profile(g, source).dist
+        assert bip == all(dist[u] != dist[v] for u, v in g.edges)
 
 
 @settings(max_examples=60)
