@@ -13,9 +13,10 @@ cut by ``--max-rounds``, and in ``async:zero`` with hold caps 1 and 3, and
 ``analyze`` on it from nodes 0 and 17;
 ``run`` in each mode and ``analyze`` from node 0 of a disconnected edge list;
 and the input-error cases, three of them edge lists with a bad line behind
-a comment: a self-loop, three endpoints and a 5,000-digit id, and the last
-one a sharpness target no graph attains. A CLI file
-holds stdout, then ``exit=CODE``, then stderr. Exit code 2 on a bad argument.
+a comment: a self-loop, three endpoints and a 5,000-digit id, the last two a
+sharpness target no graph attains and a bad mode with an unreadable file,
+where the mode is refused first. A CLI file holds stdout, then
+``exit=CODE``, then stderr. Exit code 2 on a bad argument.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ INPUT_ERRORS = [
     ("sweep", "--n-max", "3", "--jobs", "0"),
     ("sweep", "--n-max", "3", "--out", "."),
     ("sharp", "--eccentricity", "5", "--diameter", "2"),
+    ("run", "--graph", "no/such/file.edges", "--source", "0", "--mode", "nope"),
 ]
 
 

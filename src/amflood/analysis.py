@@ -17,8 +17,8 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
-from .graph import (DisconnectedGraphError, Edge, Graph, _acyclic, _bfs, diameter,
-                    distance_profile, gen_named, is_bipartite)
+from .graph import (DisconnectedGraphError, Edge, Graph, _acyclic, _bfs, diameter, gen_named,
+                    is_bipartite)
 from .sync_engine import (Inbox, InternalInvariantError, Receipts, Trace, _flood, _receipts,
                           run_sync)
 
@@ -216,12 +216,13 @@ def _audit(g: Graph, inboxes: Sequence[Inbox], receipts: Receipts, dist: list[in
                             else check for name, check in _PASSED.items()))
 
 
+@_acyclic
 def analyze(g: Graph, source: int) -> tuple[ClassificationReport, TraceAudit]:
-    """Classification plus audit for one (graph, source), running the engine
-    once; e, d and bipartiteness come from the graph oracles."""
-    trace = run_sync(g, source)
-    audit = audit_trace(g, source, trace)
-    e, d = distance_profile(g, source).eccentricity, diameter(g)
+    """Classification plus audit for one (graph, source), running the engine and
+    a BFS from the source once each; d and bipartiteness come from the oracles."""
+    trace, dist = run_sync(g, source), _bfs(g, source)
+    audit = _audit(g, trace.inboxes, _receipts(g.n, trace.inboxes), dist, _edge_bits(g))
+    e, d = max(dist), diameter(g)
     bip, j = is_bipartite(g).bipartite, trace.termination_round
     return (ClassificationReport(source, bip, e, d, j, _window_ok(j, e, d, bip),
                                  BIPARTITE_EXACT if bip else NONBIPARTITE_WINDOW),

@@ -147,7 +147,8 @@ class AsyncRound:
 
 @dataclass(frozen=True)
 class AsyncVerdict:
-    """Outcome of a round-asynchronous run plus its full per-round record."""
+    """Outcome of a round-asynchronous run plus its full per-round record;
+    round_sets, the source then each round's receipts, is derived on first use."""
 
     graph: Graph = field(compare=False, repr=False)
     source: int
@@ -156,7 +157,10 @@ class AsyncVerdict:
     first_seen: int | None
     period: int | None
     rounds: tuple[AsyncRound, ...]
-    round_sets: tuple[frozenset[int], ...]
+
+    @functools.cached_property
+    def round_sets(self) -> tuple[frozenset[int], ...]:
+        return (frozenset((self.source,)), *(rec.receipts for rec in self.rounds))
 
     @_acyclic
     def to_json_obj(self) -> dict:
@@ -234,13 +238,11 @@ def run_async(g: Graph, source: int, adversary: Adversary,
     rounds stay in the record). Otherwise the round budget runs out and the
     verdict is exhaustion.
     """
-    _check_floodable(g, source)
+    _check_floodable(g, source, max_rounds)
     if max_rounds is None:
         max_rounds = 64
     if hold_cap < 1:
         raise ValueError(f"hold_cap must be >= 1, got {hold_cap}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
 
     adversary.bind(g)
     inboxes: tuple[Inbox, ...] = (_forward(g, {source: 0}),)
@@ -248,9 +250,8 @@ def run_async(g: Graph, source: int, adversary: Adversary,
 
     def verdict(outcome: str, termination_round: int | None = None,
                 first_seen: int | None = None, period: int | None = None):
-        round_sets = (frozenset((source,)), *(rec.receipts for rec in rounds))
         return AsyncVerdict(g, source, outcome, termination_round, first_seen,
-                            period, tuple(rounds), round_sets)
+                            period, tuple(rounds))
 
     seen: dict[tuple[frozenset, ...], int] = {}
     r = 0

@@ -134,9 +134,9 @@ def _check_positive(flag: str, value: int | None) -> None:
 
 def _cmd_run(args) -> int:
     _check_positive("--max-rounds", args.max_rounds)
+    kind, adv_name, hold_cap = _parse_mode(args.mode)
     g = _load_graph(args)
     source = g.resolve(args.source)
-    kind, adv_name, hold_cap = _parse_mode(args.mode)
     with _output(args.out) as fh:
         if kind == "sync":
             try:

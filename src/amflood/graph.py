@@ -179,7 +179,6 @@ def _bfs(g: Graph, source: int) -> list[int]:
 class DistanceProfile:
     """Hop distances from a source, ``dist[v]`` for node v, and their maximum."""
 
-    source: int
     dist: tuple[int, ...]
     eccentricity: int
 
@@ -190,7 +189,7 @@ def distance_profile(g: Graph, source: int) -> DistanceProfile:
     dist = _bfs(g, source)
     if min(dist) < 0:
         raise DisconnectedGraphError("distance profile needs a connected graph")
-    return DistanceProfile(source, tuple(dist), max(dist))
+    return DistanceProfile(tuple(dist), max(dist))
 
 
 def diameter(g: Graph) -> int:

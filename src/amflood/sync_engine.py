@@ -53,10 +53,6 @@ class Trace:
     inboxes: tuple[Inbox, ...]
     termination_round: int | None
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
     @functools.cached_property
     def rounds(self) -> tuple[Configuration, ...]:
         return tuple(frozenset(_arcs(self.graph, ib)) for ib in self.inboxes[1:])
@@ -146,21 +142,23 @@ def run_sync(g: Graph, source: int, max_rounds: int | None = None) -> Trace:
 
     ``max_rounds`` defaults to 2n+2, one beyond the proven termination bound,
     so a run that would exceed it surfaces as an engine bug rather than being
-    silently truncated. Running out of rounds raises RoundBudgetError with the
-    partial trace, and a node landing in more than two round-sets
-    InternalInvariantError with the full one.
+    silently truncated; a budget below 1 is refused with ValueError. Running
+    out of rounds raises RoundBudgetError with the partial trace, and a node
+    landing in more than two round-sets InternalInvariantError with the full one.
     """
-    _check_floodable(g, source)
+    _check_floodable(g, source, max_rounds)
     inboxes = _flood(g, source, max_rounds)[0]
     return Trace(g, source, tuple(inboxes), len(inboxes) - 1)
 
 
-def _check_floodable(g: Graph, source: int) -> None:
+def _check_floodable(g: Graph, source: int, max_rounds: int | None) -> None:
     """The precondition both engines check first: ``source`` is a node of a
-    connected ``g``."""
+    connected ``g``, and a given round budget ``max_rounds`` is at least 1."""
     g.check_node(source)
     if not g.connected:
         raise DisconnectedGraphError("flooding needs a connected graph")
+    if max_rounds is not None and max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
 
 
 class Receipts(NamedTuple):
@@ -214,4 +212,4 @@ def _flood(g: Graph, source: int,
 
 def round_multiplicity(trace: Trace) -> dict[int, int]:
     """Number of distinct round-sets containing each node."""
-    return dict(enumerate(_receipts(trace.n, trace.inboxes).count))
+    return dict(enumerate(_receipts(trace.graph.n, trace.inboxes).count))

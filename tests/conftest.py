@@ -1,8 +1,18 @@
 from __future__ import annotations
 
+import functools
+
 from hypothesis import strategies as st
 
+from amflood.analysis import SharpSearchResult, find_sharp_example
 from amflood.graph import Graph
+
+
+@functools.cache
+def sharp_search_n8() -> SharpSearchResult:
+    """find_sharp_example(8) with its default target (2, 4), which stops after
+    n = 6: the slowest search the tests read, run once per session."""
+    return find_sharp_example(8, target=(2, 4))
 
 
 @st.composite

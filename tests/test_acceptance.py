@@ -10,13 +10,15 @@ from __future__ import annotations
 import time
 
 from amflood import cli
-from amflood.analysis import classify, find_sharp_example, sweep
+from amflood.analysis import classify, sweep
 from amflood.async_engine import (OUTCOME_CYCLE, OUTCOME_TERMINATED,
                                   HoldSecondSenderAdversary, ZeroDelayAdversary,
                                   run_async)
 from amflood.graph import gen_named, gen_random, is_bipartite
 from amflood.jsonio import dumps_stable
 from amflood.sync_engine import run_sync
+
+from conftest import sharp_search_n8
 
 GOLDEN_RUNS = [
     # graph kind, param, source, expected termination round
@@ -109,7 +111,7 @@ def test_criterion_3_cross_oracle_on_random_graphs():
 
 def test_criterion_4_sharpness_search():
     failures = []
-    r = find_sharp_example(8)
+    r = sharp_search_n8()
     w = r.target
     if w is None:
         failures.append(f"no (e=2,d=4) witness found up to n={r.n_searched}; "

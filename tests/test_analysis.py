@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from amflood import analysis, sync_engine
+from amflood import analysis, graph, sync_engine
 from amflood.analysis import (AUDIT_CHECKS, BIPARTITE_EXACT, NONBIPARTITE_WINDOW,
                               _audit, _edge_bits, analyze, audit_trace, classify,
                               connected_graphs, find_sharp_example, sweep)
@@ -17,7 +17,7 @@ from amflood.graph import (DisconnectedGraphError, _bfs, diameter, distance_prof
 from amflood.jsonio import dumps_stable
 from amflood.sync_engine import round_multiplicity, run_sync
 
-from conftest import arcs_to_masks, connected_graph, masks_to_arcs
+from conftest import arcs_to_masks, connected_graph, masks_to_arcs, sharp_search_n8
 
 TRIANGLE = parse_edge_list("a b\nb c\nc a")
 
@@ -186,9 +186,25 @@ def test_each_fact_once_per_graph(monkeypatch):
     assert calls == {"bfs": 197, "bipartite": 43}
     calls.clear()
     # the search reads no bipartiteness; its two checks are the canonical runs',
-    # whose two audits each run their own BFS from the source
+    # whose two analyses each run one BFS from the source
     find_sharp_example(4)
     assert calls == {"bfs": 197 + 2, "bipartite": 2}
+
+
+def test_analyze_runs_one_bfs_from_the_source(monkeypatch):
+    # on a fresh Petersen graph: the engine's connectivity check from node 0,
+    # one BFS from the source that the audit and e share, and diameter's ten
+    calls = []
+    bfs = graph._bfs
+
+    def counted(g, source):
+        calls.append(source)
+        return bfs(g, source)
+
+    monkeypatch.setattr(graph, "_bfs", counted)
+    monkeypatch.setattr(analysis, "_bfs", counted)
+    analyze(gen_named("petersen"), 4)
+    assert calls == [0, 4, *range(10)]
 
 
 # -------------------------------------------------------------------- sweep
@@ -396,7 +412,7 @@ def test_find_sharp_smallest_witness_has_four_nodes():
 
 
 def test_find_sharp_reaches_target_by_n6():
-    r = find_sharp_example(8, target=(2, 4))
+    r = sharp_search_n8()
     assert r.n_searched == 6
     w = r.target
     assert w is not None

@@ -144,6 +144,18 @@ def test_zero_round_budget_is_rejected():
         run_async(TRIANGLE, 0, ZeroDelayAdversary(), max_rounds=0)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_both_engines_refuse_a_budget_below_one(budget):
+    # a caller's bad budget is refused as bad input by the one precondition
+    # both engines share, never reported as an engine fault, and ahead of a
+    # bad hold cap
+    message = f"^max_rounds must be >= 1, got {budget}$"
+    with pytest.raises(ValueError, match=message):
+        run_sync(TRIANGLE, 0, max_rounds=budget)
+    with pytest.raises(ValueError, match=message):
+        run_async(TRIANGLE, 0, ZeroDelayAdversary(), max_rounds=budget, hold_cap=0)
+
+
 def test_zero_hold_cap_is_rejected():
     # the CLI refuses such a cap itself, before it opens --out
     with pytest.raises(ValueError, match="^hold_cap must be >= 1, got 0$"):

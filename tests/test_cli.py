@@ -165,6 +165,21 @@ def test_input_errors_exit_two(capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("mode, message", [
+    ("async:unknown", "unknown adversary 'unknown' (known: fig6, zero)"),
+    ("nope", "unknown mode 'nope'"),
+    ("async:zero,x", "bad hold cap in 'async:zero,x'"),
+    ("async:zero,0", "hold_cap must be >= 1, got 0"),
+])
+def test_run_refuses_a_bad_mode_before_building_the_graph(capsys, monkeypatch, mode, message):
+    def no_graph(args):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(cli, "_load_graph", no_graph)
+    got = _run(capsys, "run", "--named", "cycle:5", "--source", "0", "--mode", mode)
+    assert got == (cli.EXIT_INPUT_ERROR, "", f"amflood: {message}\n")
+
+
 @pytest.mark.parametrize("name", sorted(async_engine.ADVERSARIES))
 def test_every_registered_adversary_runs(capsys, name):
     code, out, _ = _run(capsys, "run", "--named", "cycle:3", "--source", "0",
