@@ -1,8 +1,18 @@
 #!/usr/bin/env python3
 """Write every output of amflood that must stay byte-stable, one file each,
-so two versions compare with a single ``diff -r``.
+so two versions compare with a single ``diff -r``, or record their sha256
+digests in a manifest and check a version against it.
 
     PYTHONPATH=src python scripts/dump_outputs.py OUTDIR
+    PYTHONPATH=src python scripts/dump_outputs.py --manifest OUTPUTS.sha256
+    PYTHONPATH=src python scripts/dump_outputs.py --check OUTPUTS.sha256 [OLDDIR]
+
+A manifest has one ``digest  path`` line per output, sorted by path, in the
+format ``sha256sum -c`` reads from inside a dump. ``--check`` rebuilds every
+output, names each one that is missing, extra or changed against the
+manifest, and exits 1 if there is any; given OLDDIR, a dump of the version
+the manifest records, it also prints the first differing line of each
+changed output.
 
 The corpus: the sweep summary JSON for every n_max <= 6 with one and with
 two workers; the sharpness search for (8), (5), (4, target (2, 5)) and
@@ -22,6 +32,7 @@ where the mode is refused first. A CLI file holds stdout, then
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import sys
 import tempfile
@@ -82,11 +93,8 @@ def _cli(argv) -> str:
     return f"{out.getvalue()}exit={code}\n{err.getvalue()}"
 
 
-def main() -> int:
-    if len(sys.argv) != 2:
-        print("dump_outputs.py: usage: dump_outputs.py OUTDIR", file=sys.stderr)
-        return 2
-    root = Path(sys.argv[1])
+def outputs() -> dict[str, str]:
+    """Every output of the corpus, by its path relative to a dump's root."""
     files: dict[str, str] = {}
     for n_max in range(2, 7):
         for jobs in (1, 2):
@@ -128,6 +136,64 @@ def main() -> int:
             ("analyze", *LARGE, "--source", str(source)))
     for i, argv in enumerate(INPUT_ERRORS):
         files[f"errors/{i:02d}_{argv[0]}.txt"] = " ".join(argv) + "\n" + _cli(argv)
+    return files
+
+
+def manifest(files: dict[str, str]) -> str:
+    return "".join(f"{hashlib.sha256(files[name].encode()).hexdigest()}  {name}\n"
+                   for name in sorted(files))
+
+
+def check(recorded: str, files: dict[str, str], old: Path | None = None) -> list[str]:
+    """One line for each output missing from ``files``, extra in it or
+    changed against the manifest text ``recorded``, in path order; a changed
+    output whose old text is under ``old`` is followed by its first
+    differing line there and in ``files``."""
+    want = dict(line.split("  ", 1)[::-1] for line in recorded.splitlines())
+    have = dict(line.split("  ", 1)[::-1] for line in manifest(files).splitlines())
+    report = []
+    for name in sorted(want.keys() | have.keys()):
+        if name not in have:
+            report.append(f"missing: {name}")
+        elif name not in want:
+            report.append(f"extra: {name}")
+        elif want[name] != have[name]:
+            report.append(f"changed: {name}")
+            if old is not None and (old / name).is_file():
+                report.extend(_first_difference((old / name).read_text(), files[name]))
+    return report
+
+
+def _first_difference(before: str, after: str) -> list[str]:
+    # The first differing line, shown for 60 characters from where it differs.
+    a, b = before.splitlines(keepends=True) + [""], after.splitlines(keepends=True) + [""]
+    k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+    if k is None:  # the old dump is not of the version the manifest records
+        return []
+    x, y = a[k], b[k]
+    col = next((i for i, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y)))
+    return [f"  line {k + 1}, column {col + 1}:",
+            f"  - {x[col:col + 60]!r}", f"  + {y[col:col + 60]!r}"]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--manifest":
+        files = outputs()
+        Path(argv[1]).write_text(manifest(files))
+        print(f"wrote {len(files)} digests to {argv[1]}", file=sys.stderr)
+        return 0
+    if len(argv) in (2, 3) and argv[0] == "--check":
+        files = outputs()
+        old = Path(argv[2]) if len(argv) == 3 else None
+        report = check(Path(argv[1]).read_text(), files, old)
+        print("\n".join(report) or f"all {len(files)} outputs match {argv[1]}")
+        return 1 if report else 0
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("dump_outputs.py: usage: dump_outputs.py OUTDIR | --manifest FILE"
+              " | --check FILE [OLDDIR]", file=sys.stderr)
+        return 2
+    root = Path(argv[0])
+    files = outputs()
     for name, text in files.items():
         path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -137,4 +203,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -319,11 +319,11 @@ def _examine_graph(g: Graph, row0: list[int], tally: _Tally) -> None:
             tally.max_j = max(tally.max_j, j)
             tally.hist[j - e] += 1
             found = []
-            # Unreachable past _flood: each of rounds 0..j is non-empty and it
-            # lets no node receive more than twice, so j+1 <= 2n, i.e. j <= 2n-1.
-            if j >= 2 * g.n + 1:
-                found.append(("termination_bound",
-                              f"j={j} not below 2n+1={2 * g.n + 1}"))
+            # j <= 2n-3 for n >= 2. A connected graph with d = n-1 is a path,
+            # which is bipartite, so a non-bipartite one has d <= n-2 and
+            # j <= e+d+1 <= 2d+1 <= 2n-3; a bipartite one has j = e <= n-1.
+            if j > 2 * g.n - 3:
+                found.append(("termination_bound", f"j={j} over 2n-3={2 * g.n - 3}"))
             if not _window_ok(j, e, diam, bip):
                 found.append(("termination_window",
                               f"j={j} outside window for e={e} d={diam} "

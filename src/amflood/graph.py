@@ -13,7 +13,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations, count, repeat
-from operator import add, mul, ne
+from operator import add, floordiv, mod, mul, ne
 
 Edge = tuple[int, int]
 
@@ -102,6 +102,8 @@ class Graph:
     def from_edges(cls, n: int, edges) -> Graph:
         """Build a Graph, normalizing endpoint order and dropping duplicates."""
         us, vs = tuple(zip(*edges, strict=True)) or ((), ())
+        if us and not 0 <= min(min(us), min(vs)) <= max(max(us), max(vs)) < n:
+            raise GraphError(f"an endpoint is out of range for n={n}")
         return cls(n=n, edges=_normalized(n, us, vs))
 
     @functools.cached_property
@@ -151,14 +153,18 @@ def _check_size(what: str, n: int, m: int) -> None:
 
 
 def _normalized(n: int, us, vs) -> tuple[Edge, ...]:
-    """The edges {us[i], vs[i]} as sorted, distinct pairs (u, v) with u < v, made
-    from integer keys u*n+v. A key is one-to-one only for ids in [0, n), so
-    the node limit and that range are checked before any key is built."""
+    """The edges {us[i], vs[i]}, ids the caller has checked lie in [0, n), as
+    sorted, distinct pairs (u, v) with u < v, made from the integer keys
+    u*n+v, which are one-to-one on that range. The node limit is checked
+    before anything is built. Every endpoint of node v is the one int object
+    ids[v], so edges and the adj made from them hold one object per node,
+    and dict probes hit by identity."""
     _check_size("graph", n, 0)
-    if us and not 0 <= min(min(us), min(vs)) <= max(max(us), max(vs)) < n:
-        raise GraphError(f"an endpoint is out of range for n={n}")
-    keys = sorted(set(map(add, map(mul, map(min, us, vs), repeat(n)), map(max, us, vs))))
-    return tuple(map(divmod, keys, repeat(n)))
+    # min*n + max as min*(n-1) + (u+v), which needs no max
+    keys = sorted(set(map(add, map(mul, map(min, us, vs), repeat(n - 1)), map(add, us, vs))))
+    ids = list(range(n))
+    return tuple(zip(map(ids.__getitem__, map(floordiv, keys, repeat(n))),
+                     map(ids.__getitem__, map(mod, keys, repeat(n)))))
 
 
 def _bfs(g: Graph, source: int) -> list[int]:
@@ -377,8 +383,9 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
     threshold = int(p * float(1 << 64))
     state = seed & _MASK64
     edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
+    ids = list(range(n))  # one int object per node id, as in _normalized
+    for u in ids:
+        for v in ids[u + 1:]:
             state, draw = _splitmix64(state)
             if draw < threshold:
                 edges.append((u, v))

@@ -289,21 +289,23 @@ def test_sweep_reports_a_kernel_that_loses_round_one(monkeypatch):
 
 
 def test_sweep_reports_a_run_past_the_termination_bound(monkeypatch):
-    # _flood never ends a run at round 2n+1 or later (see the check's proof),
-    # so pad each run with empty rounds to 2n+2 round-sets, which no node
-    # receives in and so passes the multiplicity guard: on n = 2 that ends
-    # the run at j = 5 = 2n+1, the first round the bound rejects.
+    # No run ends past round 2n-3 (see the check's proof), so pad each run
+    # with empty rounds, which no node receives in and so pass the
+    # multiplicity guard, to end it at j = 2n-3+over: 2n+1 is past all that
+    # _flood's own guards allow, 2n-2 the first round the bound rejects.
     flood = sync_engine._flood
+    for over in (4, 1):
+        def padded(g, source):
+            inboxes = flood(g, source)[0]
+            inboxes += [{}] * (2 * g.n - 2 + over - len(inboxes))
+            return inboxes, sync_engine._receipts(g.n, inboxes)
 
-    def padded(g, source):
-        inboxes = flood(g, source)[0]
-        inboxes += [{}] * (2 * g.n + 2 - len(inboxes))
-        return inboxes, sync_engine._receipts(g.n, inboxes)
-
-    monkeypatch.setattr(analysis, "_flood", padded)
-    s = sweep(2)
-    bound = [(v.source, v.detail) for v in s.violations if v.check == "termination_bound"]
-    assert bound == [(0, "j=5 not below 2n+1=5"), (1, "j=5 not below 2n+1=5")]
+        monkeypatch.setattr(analysis, "_flood", padded)
+        s = sweep(3)
+        bound = [(v.n, v.source, v.detail) for v in s.violations
+                 if v.check == "termination_bound"]
+        assert bound == [(n, source, f"j={2 * n - 3 + over} over 2n-3={2 * n - 3}")
+                         for n in (2, 3) for _ in connected_graphs(n) for source in range(n)]
 
 
 def test_sweep_keeps_the_trace_of_a_mid_run_error(monkeypatch):

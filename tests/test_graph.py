@@ -211,6 +211,33 @@ def test_gen_random_deterministic():
     assert gen_random(20, 0.3, 43).edges != a.edges
 
 
+# 600 nodes, so most ids lie past CPython's cached small ints (-5..256), and
+# each id is written in several lines, in both endpoint orders
+_PAIRS = [(i * 7 % 600, (i * 7 + 1 + i % 3) % 600) for i in range(1800)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_edge_list("".join(f"{u} {v}\n" for u, v in _PAIRS)),
+    lambda: parse_edge_list("".join(f"v{u} v{v}\n" for u, v in _PAIRS)),
+    lambda: gen_named("cycle", 1000),
+    lambda: gen_random(600, 0.01, 3),
+], ids=["parse_numeric", "parse_labels", "cycle_1000", "random_600"])
+def test_constructors_share_one_int_object_per_node_id(build):
+    def objects(g):
+        ends = [x for e in g.edges for x in e] + [x for row in g.adj for x in row]
+        return len(set(map(id, ends))), len(set(ends))
+
+    g = build()
+    assert g.n > 256
+    held, distinct = objects(g)
+    assert held == distinct
+    # Graph(n, edges) keeps the caller's objects: fresh ints, one per
+    # endpoint, give the same value, equality and hash with more objects
+    fresh = Graph(g.n, tuple((int(str(u)), int(str(v))) for u, v in g.edges), g.labels)
+    assert fresh == g and hash(fresh) == hash(g) and fresh.adj == g.adj
+    assert objects(fresh)[0] > held
+
+
 # ----------------------------------------------------------------- oracles
 
 def test_distance_profile_path_end():
