@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
@@ -110,27 +110,16 @@ def audit_trace(g: Graph, source: int, trace: Trace) -> TraceAudit:
     dist = _bfs(g, source)
     if -1 in dist:
         raise DisconnectedGraphError("the audit needs a connected graph")
-    return _audit(g, trace.inboxes, _receipts(g.n, trace.inboxes), dist, _edge_bits(g))
+    return _audit(g, trace.inboxes, _receipts(g.n, trace.inboxes), dist)
 
 
-def _edge_bits(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
-    """(u, w, bit of u in w's list, bit of w in u's list) for each edge
-    (u, w), in edge order."""
-    bits = []
-    for v, (nbrs, back) in enumerate(zip(g.adj, g.rev)):
-        # a sorted list holds the neighbours above v after those below it
-        for i in range(bisect_right(nbrs, v), len(nbrs)):
-            bits.append((v, nbrs[i], 1 << back[i], 1 << i))
-    return tuple(bits)
-
-
-def _audit(g: Graph, inboxes: Sequence[Inbox], receipts: Receipts, dist: list[int],
-           edge_bits) -> TraceAudit:
+def _audit(g: Graph, inboxes: Sequence[Inbox], receipts: Receipts,
+           dist: list[int]) -> TraceAudit:
     """The five checks of a run against the BFS distances ``dist`` around its
     source: ``inboxes[t]`` holds the inbox of round t of every node at
-    distance t, and ``edge_bits`` is ``_edge_bits(g)``. Each failing check
-    names its first counterexample in the order the check reads."""
-    n = g.n
+    distance t. Each failing check names its first counterexample in the
+    order the check reads."""
+    n, adj = g.n, g.adj
     first, second, count = receipts
     last = len(inboxes)
     # One pass over the edges (u < w) finds each edge-local check's first
@@ -141,7 +130,7 @@ def _audit(g: Graph, inboxes: Sequence[Inbox], receipts: Receipts, dist: list[in
     # after its distance; and the smallest (node, neighbour) pair whose
     # second receipts are not within one round of each other.
     missed = ec_min = ec_late = echo = None
-    for u, w, bu, bw in edge_bits:
+    for u, w in g.edges:
         du, dw = dist[u], dist[w]
         if du == dw:
             if ec_min is None:
@@ -151,8 +140,9 @@ def _audit(g: Graph, inboxes: Sequence[Inbox], receipts: Receipts, dist: list[in
                 if ec_late is None or late < ec_late:
                     ec_late = late
         elif missed is None:
-            a, b, bit = (u, w, bu) if du < dw else (w, u, bw)
-            if dist[b] >= last or not inboxes[dist[b]].get(b, 0) & bit:
+            # a's bit in b's mask is a's position in b's sorted list
+            a, b, db = (u, w, dw) if du < dw else (w, u, du)
+            if db >= last or not inboxes[db].get(b, 0) >> bisect_left(adj[b], a) & 1:
                 missed = a, b
         su, sw = second[u], second[w]
         if su is None:
@@ -221,7 +211,7 @@ def analyze(g: Graph, source: int) -> tuple[ClassificationReport, TraceAudit]:
     """Classification plus audit for one (graph, source), running the engine and
     a BFS from the source once each; d and bipartiteness come from the oracles."""
     trace, dist = run_sync(g, source), _bfs(g, source)
-    audit = _audit(g, trace.inboxes, _receipts(g.n, trace.inboxes), dist, _edge_bits(g))
+    audit = _audit(g, trace.inboxes, _receipts(g.n, trace.inboxes), dist)
     e, d = max(dist), diameter(g)
     bip, j = is_bipartite(g).bipartite, trace.termination_round
     return (ClassificationReport(source, bip, e, d, j, _window_ok(j, e, d, bip),
@@ -302,7 +292,6 @@ def _examine_graph(g: Graph, row0: list[int], tally: _Tally) -> None:
     rows = [row0, *(_bfs(g, s) for s in range(1, g.n))]
     diam = max(map(max, rows))
     bip = is_bipartite(g).bipartite
-    edge_bits = _edge_bits(g)
     tally.graphs += 1
     tally.runs += g.n
     if bip:
@@ -329,7 +318,7 @@ def _examine_graph(g: Graph, row0: list[int], tally: _Tally) -> None:
                               f"j={j} outside window for e={e} d={diam} "
                               f"bipartite={bip}"))
             found.extend((f"audit:{c.name}", c.detail)
-                         for c in _audit(g, inboxes, receipts, row, edge_bits).failures)
+                         for c in _audit(g, inboxes, receipts, row).failures)
             if found:
                 trace = Trace(g, source, tuple(inboxes), j)
         if found:

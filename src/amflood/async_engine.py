@@ -231,8 +231,9 @@ def run_async(g: Graph, source: int, adversary: Adversary,
               max_rounds: int | None = None, hold_cap: int = 1) -> AsyncVerdict:
     """Drive flooding with ``adversary`` choosing per-message delays.
 
-    ``max_rounds`` defaults to 64. Terminates when nothing is in flight. For a
-    scheduler declared deterministic, an exact repeat of a round-start
+    ``max_rounds`` defaults to max(64, 2n+2), so a zero-delay run, which ends
+    by round 2n-3, never exhausts it. Terminates when nothing is in flight.
+    For a scheduler declared deterministic, an exact repeat of a round-start
     configuration yields a cycle verdict, certified by replaying one full
     period and requiring the recorded segment to repeat exactly (the replayed
     rounds stay in the record). Otherwise the round budget runs out and the
@@ -240,7 +241,7 @@ def run_async(g: Graph, source: int, adversary: Adversary,
     """
     _check_floodable(g, source, max_rounds)
     if max_rounds is None:
-        max_rounds = 64
+        max_rounds = max(64, 2 * g.n + 2)
     if hold_cap < 1:
         raise ValueError(f"hold_cap must be >= 1, got {hold_cap}")
 

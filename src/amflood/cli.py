@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 
 from . import analysis, async_engine
@@ -34,15 +33,15 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--named", metavar="KIND[:P]",
                      help="hypercube:K, petersen, cycle:N, path:N, complete:N")
     grp.add_argument("--random", metavar="N,P,SEED",
-                     help="Erdos-Renyi G(n,p); AMNESIA_SEED overrides SEED")
+                     help="Erdos-Renyi G(n,p) drawn from SEED")
 
 
 def _load_graph(args):
     if args.graph is not None:
         try:
-            with open(args.graph) as fh:
+            with open(args.graph, encoding="utf-8") as fh:
                 text = fh.read(MAX_EDGE_LIST_CHARS + 1)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise GraphError(f"cannot read {args.graph}: {exc}") from None
         if len(text) > MAX_EDGE_LIST_CHARS:
             raise GraphError(f"edge list {args.graph} is over the limit of "
@@ -60,17 +59,10 @@ def _load_graph(args):
     parts = args.random.split(",")
     if len(parts) != 3:
         raise GraphError(f"--random wants N,P,SEED, got {args.random!r}")
-    env_seed = os.environ.get("AMNESIA_SEED")
     try:
-        n, p = int(parts[0]), float(parts[1])
-        seed = int(parts[2]) if env_seed is None else None
+        n, p, seed = int(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise GraphError(f"bad --random value {args.random!r}") from None
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise GraphError(f"bad AMNESIA_SEED value {env_seed!r}") from None
     return gen_random(n, p, seed)
 
 
@@ -207,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mode", default="sync",
                        help="sync (default) or async:NAME[,HOLD_CAP]")
     p_run.add_argument("--max-rounds", type=int, default=None,
-                       help="round budget (default: 2n+2 sync, 64 async)")
+                       help="round budget (default: 2n+2 sync, max(64, 2n+2) async)")
     p_run.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_run.set_defaults(func=_cmd_run)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from amflood import analysis, graph, sync_engine
 from amflood.analysis import (AUDIT_CHECKS, BIPARTITE_EXACT, NONBIPARTITE_WINDOW,
-                              _audit, _edge_bits, analyze, audit_trace, classify,
+                              _audit, analyze, audit_trace, classify,
                               connected_graphs, find_sharp_example, sweep)
 from amflood.graph import (DisconnectedGraphError, _bfs, diameter, distance_profile,
                            gen_named, is_bipartite, parse_edge_list)
@@ -140,6 +140,27 @@ def test_audit_flags_single_receipts_on_a_graph_with_ec_nodes():
         "ec nodes exist (1) but every node received exactly once")
 
 
+def test_audit_names_the_first_missed_frontier_send_in_edge_order():
+    # from source 3, round 1 reaches 0 but not 1, so the frontier edges 3-1
+    # and 0-2 both miss their send; edge order names (0,2) first, where the
+    # order of the farther node would name (1,3)
+    g = graph.Graph(4, ((0, 2), (0, 3), (1, 3)))
+    audit = audit_trace(g, 3, sync_engine.Trace(g, 3, ({3: 0}, {0: 0b10}), 1))
+    check = next(c for c in audit.failures if c.name == "frontier_sends")
+    assert (check.node, check.round, check.detail) == (
+        0, 2, "edge (0,2) carried no send in round 2")
+
+
+def test_audit_does_not_read_the_kernels_reverse_table():
+    # a correct run, audited after the table that set each send's bit is
+    # scrambled: the audit reads bit positions from the adjacency lists alone
+    g = gen_named("petersen")
+    trace = run_sync(g, 0)
+    object.__setattr__(g, "rev", tuple(r[::-1] for r in g.rev))
+    assert g.rev != gen_named("petersen").rev
+    assert audit_trace(g, 0, trace).all_ok
+
+
 def test_audit_trace_rejects_a_disconnected_graph():
     g = parse_edge_list("0 1\n2 3")
     with pytest.raises(DisconnectedGraphError, match="^the audit needs a connected graph$"):
@@ -153,15 +174,15 @@ def test_analyze_combines_both_views():
 
 def test_sweep_audit_inputs_and_analyze_match_public_oracles():
     # every connected labeled graph with n <= 5, every source: the sweep's
-    # audit of _flood's run, on its own BFS row and edge bits, equals the
-    # public audit of run_sync's trace, and analyze's facts equal the oracles
+    # audit of _flood's run, on its own BFS row, equals the public audit of
+    # run_sync's trace, and analyze's facts equal the oracles
     for n in range(1, 6):
         for g in connected_graphs(n):
-            diam, bip, bits = diameter(g), is_bipartite(g).bipartite, _edge_bits(g)
+            diam, bip = diameter(g), is_bipartite(g).bipartite
             for s in range(n):
                 audit = dumps_stable(audit_trace(g, s, run_sync(g, s)).to_json_obj())
                 inboxes, receipts = sync_engine._flood(g, s)
-                swept = _audit(g, inboxes, receipts, _bfs(g, s), bits)
+                swept = _audit(g, inboxes, receipts, _bfs(g, s))
                 assert dumps_stable(swept.to_json_obj()) == audit
                 rep, analyzed = analyze(g, s)
                 assert (rep.eccentricity, rep.diameter, rep.bipartite) == (
