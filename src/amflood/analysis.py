@@ -17,8 +17,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
-from .graph import (DisconnectedGraphError, Edge, Graph, _acyclic, _bfs, diameter, gen_named,
-                    is_bipartite)
+from .graph import DisconnectedGraphError, Edge, Graph, _bfs, diameter, gen_named, is_bipartite
 from .sync_engine import (Inbox, InternalInvariantError, Receipts, Trace, _flood, _receipts,
                           run_sync)
 
@@ -98,7 +97,6 @@ class TraceAudit:
 _ALL_PASSED = TraceAudit(tuple(_PASSED.values()))
 
 
-@_acyclic
 def audit_trace(g: Graph, source: int, trace: Trace) -> TraceAudit:
     """Audit a trace produced by run_sync(g, source). Raises ValueError for
     a trace of another graph or from another source."""
@@ -206,7 +204,6 @@ def _audit(g: Graph, inboxes: Sequence[Inbox], receipts: Receipts,
                             else check for name, check in _PASSED.items()))
 
 
-@_acyclic
 def analyze(g: Graph, source: int) -> tuple[ClassificationReport, TraceAudit]:
     """Classification plus audit for one (graph, source), running the engine and
     a BFS from the source once each; d and bipartiteness come from the oracles."""

@@ -39,7 +39,7 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 def _load_graph(args):
     if args.graph is not None:
         try:
-            with open(args.graph, encoding="utf-8") as fh:
+            with open(args.graph, encoding="utf-8-sig") as fh:
                 text = fh.read(MAX_EDGE_LIST_CHARS + 1)
         except (OSError, UnicodeDecodeError) as exc:
             raise GraphError(f"cannot read {args.graph}: {exc}") from None

@@ -34,11 +34,13 @@ MAX_EDGE_LIST_CHARS = 1 << 28
 def _acyclic(fn):
     """Run ``fn`` with the cyclic garbage collector paused, then restore it.
 
-    The wrapped builders create up to millions of small containers in no
-    reference cycle, so each full collection they would trigger rescans the
-    live heap to free nothing; reference counting still frees all they drop.
-    A collector the caller disabled stays disabled. Not for code where
-    another thread toggles ``gc``: the pause is process-wide.
+    Only a builder allocating a tracked container per edge, send or message
+    is paused (``parse_edge_list``, both ``to_json_obj``): those containers,
+    up to millions, form no cycle, so each full collection would rescan the
+    live heap to free nothing. Engines and audits, whose inboxes are untracked
+    dicts of ints, run with the collector as the caller left it. A collector
+    the caller disabled stays disabled. Not for code where another thread
+    toggles ``gc``: the pause is process-wide.
     """
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):

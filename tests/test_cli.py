@@ -173,6 +173,19 @@ def test_graph_file_that_is_not_utf8_exits_two(tmp_path, capsys):
                    f"in position 0: invalid start byte\n")
 
 
+@pytest.mark.parametrize("text, labels", [("0 1\n1 2\n2 0\n", "012"), ("a b\nb c\nc a\n", "abc")],
+                         ids=["numeric", "labels"])
+def test_graph_file_with_a_byte_order_mark_loads_as_written(tmp_path, capsys, text, labels):
+    # A leading UTF-8 mark, as some editors save it, must not stick to the
+    # first id: numeric ids would switch to labels and load a 4-node path.
+    f = tmp_path / "tri.edges"
+    f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for v, label in enumerate(labels):
+        code, out, _ = _run(capsys, "run", "--graph", str(f), "--source", label)
+        assert (code, json.loads(out)["termination_round"]) == (cli.EXIT_OK, 3)
+        assert out == _run(capsys, "run", "--named", "complete:3", "--source", str(v))[1]
+
+
 @pytest.mark.parametrize("argv", [
     ("run", "--graph", "/no/such/file", "--source", "0"),
     ("run", "--named", "torus:3", "--source", "0"),

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import gc
+import importlib
+import os
+import pkgutil
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
+import amflood
 from amflood.graph import (MAX_EDGES, MAX_NODES, DisconnectedGraphError, Graph,
-                           GraphError, diameter,
+                           GraphError, _acyclic, diameter,
                            distance_profile, gen_named, gen_random,
                            is_bipartite, parse_edge_list,
                            render_edge_list)
@@ -87,6 +92,39 @@ def test_parse_skips_comments_and_blanks_and_collapses_duplicates():
 def test_parse_empty_rejected():
     with pytest.raises(GraphError):
         parse_edge_list("# nothing here\n")
+
+
+def test_collector_is_restored_after_a_parse_error():
+    with pytest.raises(GraphError):
+        parse_edge_list("0 0\n")
+    assert gc.isenabled()
+
+
+def test_only_the_heap_filling_builders_pause_the_collector():
+    # The rule in graph._acyclic, pinned: pausing one more callable, or
+    # wrapping one with any other decorator of the package, has to edit this
+    # test on purpose. The standard library's wrappers (dataclass reprs,
+    # contextlib's context managers) pause nothing.
+    pause = _acyclic(len).__code__
+    paused, wrapper_files = set(), set()
+    for info in pkgutil.iter_modules(amflood.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"amflood.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for f in (obj, *(vars(obj).values() if isinstance(obj, type) else ())):
+                f = getattr(f, "__func__", f)  # a staticmethod has __wrapped__ too
+                if callable(f) and hasattr(f, "__wrapped__"):
+                    code = getattr(f, "__code__", None)
+                    if code is pause:
+                        paused.add(f.__qualname__)
+                    elif code is not None:
+                        wrapper_files.add(code.co_filename)
+    assert paused == {"parse_edge_list", "Trace.to_json_obj", "AsyncVerdict.to_json_obj"}
+    package = os.path.dirname(amflood.__file__)
+    assert not [path for path in wrapper_files if path.startswith(package)]
 
 
 def test_render_round_trip_is_id_identical():

@@ -133,7 +133,7 @@ def test_receipt_multiplicity_guard_fires(monkeypatch):
     assert exc.value.trace.termination_round == 4  # the full trace of a finished run
 
 
-def test_run_sync_pauses_the_collector(monkeypatch):
+def test_run_sync_runs_with_the_callers_collector(monkeypatch):
     forward = sync_engine._forward
     seen = []
 
@@ -142,10 +142,15 @@ def test_run_sync_pauses_the_collector(monkeypatch):
         return forward(g, config)
 
     monkeypatch.setattr(sync_engine, "_forward", recording)
+    g = gen_named("petersen")
     assert gc.isenabled()
-    run_sync(gen_named("petersen"), 0)
-    assert len(seen) == 6 and set(seen) == {False}
-    assert gc.isenabled()
+    run_sync(g, 0)
+    gc.disable()
+    try:
+        run_sync(g, 0)
+    finally:
+        gc.enable()
+    assert seen == [True] * 6 + [False] * 6
 
 
 def test_trace_json_pauses_the_collector():
