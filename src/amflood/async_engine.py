@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Set
 from dataclasses import dataclass, field
-from itertools import repeat, zip_longest
+from itertools import repeat
 from operator import add, mul
 
 from .graph import Graph, _acyclic
@@ -91,12 +91,16 @@ class _Pool(Set):
     (sender, receiver, age), decoded on first read: decide() is handed it, so
     a scheduler that reads nothing costs no decoding."""
 
-    def __init__(self, g: Graph, inboxes: tuple[Inbox, ...]):
-        self.graph, self.inboxes = g, inboxes
+    __slots__ = ("graph", "inboxes", "_decoded")
 
-    @functools.cached_property
+    def __init__(self, g: Graph, inboxes: tuple[Inbox, ...]):
+        self.graph, self.inboxes, self._decoded = g, inboxes, None
+
+    @property
     def messages(self) -> AsyncConfiguration:
-        return frozenset(map(tuple, _messages(self.graph, self.inboxes)))
+        if self._decoded is None:
+            self._decoded = frozenset(map(tuple, _messages(self.graph, self.inboxes)))
+        return self._decoded
 
     def __contains__(self, msg) -> bool:
         return msg in self.messages
@@ -116,21 +120,19 @@ def _messages(g: Graph, inboxes: tuple[Inbox, ...]) -> list[list[int]]:
     return sorted([[u, v, age] for age, inbox in enumerate(inboxes) for u, v in _arcs(g, inbox)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsyncRound:
-    """One executed round: its round-start pool, the messages it held (one
-    inbox per age) and the nodes receiving. The message sets pool, delivered
-    and held are derived on first use."""
+    """One executed round: its round-start pool and the inboxes it held, per age.
+    The message sets pool, delivered and held, and the receipts, are derived."""
 
     start: _Pool
     held_inboxes: tuple[Inbox, ...]
-    receipts: frozenset[int]
 
     @property
     def pool(self) -> AsyncConfiguration:
         return self.start.messages
 
-    @functools.cached_property
+    @property
     def held(self) -> AsyncConfiguration:
         return frozenset(map(tuple, _messages(self.start.graph, self.held_inboxes)))
 
@@ -138,11 +140,15 @@ class AsyncRound:
     def delivered(self) -> AsyncConfiguration:
         return self.pool - self.held
 
+    @property
+    def receipts(self) -> frozenset[int]:
+        return frozenset(_union(_delivered(self.start.inboxes, self.held_inboxes)))
+
     def to_json_obj(self) -> dict:
-        g = self.start.graph
-        pool, held = _messages(g, self.start.inboxes), _messages(g, self.held_inboxes)
-        return {"pool": pool, "held": held, "receipts": sorted(self.receipts),
-                "delivered": [m for m in pool if tuple(m) not in self.held] if held else pool}
+        g, inboxes, held = self.start.graph, self.start.inboxes, self.held_inboxes
+        pool, delivered = _messages(g, inboxes), _delivered(inboxes, held)
+        return {"pool": pool, "held": _messages(g, held), "receipts": sorted(_union(delivered)),
+                "delivered": _messages(g, delivered) if held else pool}
 
 
 @dataclass(frozen=True)
@@ -172,8 +178,8 @@ class AsyncVerdict:
                 "first_seen": self.first_seen,
                 "period": self.period,
             },
-            "rounds": [r.to_json_obj() for r in self.rounds],
-            "round_sets": [sorted(rs) for rs in self.round_sets],
+            "rounds": (rounds := [rec.to_json_obj() for rec in self.rounds]),
+            "round_sets": [[self.source], *(rec["receipts"] for rec in rounds)],
         }
 
     def to_sync_trace(self) -> Trace:
@@ -191,13 +197,20 @@ def _minus(inbox: Inbox, other: Inbox) -> Inbox:
     return {v: rest for v, m in inbox.items() if (rest := m & ~other.get(v, 0))}
 
 
-def _union(inboxes) -> Inbox:
-    """The arcs of all ``inboxes``."""
+def _union(inboxes: tuple[Inbox, ...]) -> Inbox:
+    """The arcs of all ``inboxes``; a lone inbox is returned as it is."""
+    if len(inboxes) == 1:
+        return inboxes[0]
     out: Inbox = {}
     for inbox in inboxes:
         for v, m in inbox.items():
             out[v] = out.get(v, 0) | m
     return out
+
+
+def _delivered(inboxes: tuple[Inbox, ...], held: tuple[Inbox, ...]) -> tuple[Inbox, ...]:
+    """Per age, the arcs of ``inboxes`` outside ``held``, whose ages are a prefix of theirs."""
+    return (*map(_minus, inboxes, held), *inboxes[len(held):])
 
 
 def _execute_round(pool: _Pool, hold: frozenset[Arc],
@@ -217,14 +230,12 @@ def _execute_round(pool: _Pool, hold: frozenset[Arc],
                     f"message on {arc} held past the {hold_cap}-round cap")
         held = tuple(_inbox(g, [arc for arc in hold if ages[arc] == age])
                      for age in range(max(map(ages.get, hold)) + 1))
-    delivered = inboxes[0] if len(inboxes) == 1 and not held else _union(
-        _minus(inbox, kept) for inbox, kept in zip_longest(inboxes, held, fillvalue={}))
-    sends = _forward(g, delivered)
+    sends = _forward(g, _union(_delivered(inboxes, held)))
     if held:
         # a fresh send on an arc that already carries a held copy collapses
         # into it; the token is a single indistinguishable M
         sends = _minus(sends, _union(held))
-    return (sends, *held) if sends or held else (), AsyncRound(pool, held, frozenset(delivered))
+    return (sends, *held) if sends or held else (), AsyncRound(pool, held)
 
 
 def run_async(g: Graph, source: int, adversary: Adversary,
@@ -254,27 +265,28 @@ def run_async(g: Graph, source: int, adversary: Adversary,
         return AsyncVerdict(g, source, outcome, termination_round, first_seen,
                             period, tuple(rounds))
 
-    seen: dict[tuple[frozenset, ...], int] = {}
+    def key(ibs):  # each age's (v, m) as the ints m*n+v, one-to-one as v < n
+        return tuple([frozenset(map(add, ib, map(mul, ib.values(), repeat(g.n)))) for ib in ibs])
+
+    # Pools are keyed from a deterministic adversary's first hold on: until
+    # then the run is the synchronous one, which terminates, so none repeats.
+    seen: dict[tuple[frozenset[int], ...], int] | None = None
     r = 0
     while inboxes:
         r += 1
         if r > max_rounds:
             return verdict(OUTCOME_EXHAUSTED)
-        if adversary.deterministic:
-            # each age's entries (v, m) as the ints m*n+v: one-to-one as v < n,
-            # and ints leave the collector nothing to track
-            key = tuple([frozenset(map(add, ib, map(mul, ib.values(), repeat(g.n))))
-                         for ib in inboxes])
-            if key in seen:
-                break
-            seen[key] = r
+        if seen is not None and seen.setdefault(key(inboxes), r) < r:
+            break
         pool = _Pool(g, inboxes)
         inboxes, record = _execute_round(pool, adversary.decide(pool), hold_cap)
         rounds.append(record)
+        if seen is None and record.held_inboxes and adversary.deterministic:
+            seen = {key(rec.start.inboxes): t for t, rec in enumerate(rounds, 1)}
     if not inboxes:
         return verdict(OUTCOME_TERMINATED, termination_round=r)
 
-    first = seen[key]
+    first = seen[key(inboxes)]
     period = r - first
     # Certify: one more period must reproduce the recorded segment exactly.
     for k in range(period):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,7 @@ from amflood.async_engine import (Adversary, AsyncRound,
                                   OUTCOME_EXHAUSTED, OUTCOME_TERMINATED,
                                   UnfairScheduleError, ZeroDelayAdversary,
                                   run_async)
-from amflood.graph import gen_named, parse_edge_list
+from amflood.graph import Graph, gen_named, parse_edge_list
 from amflood.jsonio import dumps_stable
 from amflood.sync_engine import (InternalInvariantError, _arcs, _forward, _inbox,
                                  run_sync, step)
@@ -403,6 +404,12 @@ def test_engine_matches_the_triple_based_reference(g, hold_cap, seed, determinis
     if UnfairScheduleError in (v, ref):
         assert v is ref
         return
+    _assert_same_run(v, ref, source)
+
+
+def _assert_same_run(v, ref, source):
+    """``v`` from run_async equals ``ref`` from _reference_run field for
+    field and in JSON bytes."""
     *fields, rounds = ref
     assert [v.outcome, v.termination_round, v.first_seen, v.period] == fields
     assert len(v.rounds) == len(rounds)
@@ -411,6 +418,35 @@ def test_engine_matches_the_triple_based_reference(g, hold_cap, seed, determinis
                                                                     receipts)
     assert v.round_sets == (frozenset((source,)), *(rec[3] for rec in rounds))
     assert dumps_stable(v.to_json_obj()) == _reference_json(source, *ref)
+
+
+def test_a_cycle_opening_before_the_first_hold_is_found():
+    # Pools are keyed only from a deterministic adversary's first hold on, so
+    # the pools before it are keyed then, from the record. Here the cycle's
+    # first pool is round 2's and the first hold comes in round 3: a key
+    # that skipped the rounds before the hold would find the cycle late.
+    paw = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    v, ref = [run(paw, 0, _SeededHolds(17472, 2, True, False), max_rounds=60, hold_cap=2)
+              for run in (run_async, _reference_run)]
+    assert (v.outcome, v.first_seen, v.period) == (OUTCOME_CYCLE, 2, 8)
+    assert [t for t, rec in enumerate(v.rounds, 1) if rec.held][0] == 3
+    _assert_same_run(v, ref, 0)
+
+
+def test_zero_delay_run_peak_memory_is_bounded():
+    # A zero-delay run keys no pool, and each round keeps only its pool's
+    # inboxes and two slotted records. The engine that keyed every pool and
+    # kept each round's receipts peaked at about 1,040 B per round here.
+    g = gen_named("path", 20000)
+    run_async(g, 0, ZeroDelayAdversary())  # builds the graph's cached rev and BFS first
+    tracemalloc.start()
+    try:
+        v = run_async(g, 0, ZeroDelayAdversary())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.outcome == OUTCOME_TERMINATED and len(v.rounds) == 19999
+    assert peak < 512 * len(v.rounds), peak / len(v.rounds)
 
 
 def test_engine_agrees_on_scripted_path_schedules():
