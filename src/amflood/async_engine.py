@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, mul
 
-from .graph import Graph, _acyclic
+from .graph import Graph
+from .jsonio import Encoded
 from .sync_engine import (Arc, Inbox, InternalInvariantError, Trace, _arcs, _check_floodable,
                           _forward, _inbox)
 
@@ -99,7 +100,7 @@ class _Pool(Set):
     @property
     def messages(self) -> AsyncConfiguration:
         if self._decoded is None:
-            self._decoded = frozenset(map(tuple, _messages(self.graph, self.inboxes)))
+            self._decoded = frozenset(_messages(self.graph, self.inboxes))
         return self._decoded
 
     def __contains__(self, msg) -> bool:
@@ -115,9 +116,15 @@ class _Pool(Set):
         return hash(self.messages)
 
 
-def _messages(g: Graph, inboxes: tuple[Inbox, ...]) -> list[list[int]]:
-    """The messages [sender, receiver, age] of ``inboxes``, sorted."""
-    return sorted([[u, v, age] for age, inbox in enumerate(inboxes) for u, v in _arcs(g, inbox)])
+def _messages(g: Graph, inboxes: tuple[Inbox, ...]) -> list[Message]:
+    """The messages (sender, receiver, age) of ``inboxes``."""
+    return [(u, v, age) for age, inbox in enumerate(inboxes) for u, v in _arcs(g, inbox)]
+
+
+def _messages_text(g: Graph, inboxes: tuple[Inbox, ...]) -> str:
+    """The messages of ``inboxes`` as the JSON text of their sorted
+    [sender, receiver, age] list."""
+    return f"[{','.join(['[%d,%d,%d]' % m for m in sorted(_messages(g, inboxes))])}]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,7 +141,7 @@ class AsyncRound:
 
     @property
     def held(self) -> AsyncConfiguration:
-        return frozenset(map(tuple, _messages(self.start.graph, self.held_inboxes)))
+        return frozenset(_messages(self.start.graph, self.held_inboxes))
 
     @property
     def delivered(self) -> AsyncConfiguration:
@@ -144,11 +151,15 @@ class AsyncRound:
     def receipts(self) -> frozenset[int]:
         return frozenset(_union(_delivered(self.start.inboxes, self.held_inboxes)))
 
-    def to_json_obj(self) -> dict:
+    def _json_text(self) -> tuple[str, list[int]]:
+        """The round's JSON record as text, and its sorted receipts."""
         g, inboxes, held = self.start.graph, self.start.inboxes, self.held_inboxes
-        pool, delivered = _messages(g, inboxes), _delivered(inboxes, held)
-        return {"pool": pool, "held": _messages(g, held), "receipts": sorted(_union(delivered)),
-                "delivered": _messages(g, delivered) if held else pool}
+        delivered = _delivered(inboxes, held)
+        pool = _messages_text(g, inboxes)
+        texts = (_messages_text(g, delivered), _messages_text(g, held)) if held else (pool, "[]")
+        receipts = sorted(_union(delivered))
+        return ('{"delivered":%s,"held":%s,"pool":%s,"receipts":[%s]}'
+                % (*texts, pool, ",".join(map(str, receipts))), receipts)
 
 
 @dataclass(frozen=True)
@@ -168,8 +179,12 @@ class AsyncVerdict:
     def round_sets(self) -> tuple[frozenset[int], ...]:
         return (frozenset((self.source,)), *(rec.receipts for rec in self.rounds))
 
-    @_acyclic
     def to_json_obj(self) -> dict:
+        texts, round_sets = [], [[self.source]]
+        for rec in self.rounds:
+            text, receipts = rec._json_text()
+            texts.append(text)
+            round_sets.append(receipts)
         return {
             "source": self.source,
             "verdict": {
@@ -178,8 +193,8 @@ class AsyncVerdict:
                 "first_seen": self.first_seen,
                 "period": self.period,
             },
-            "rounds": (rounds := [rec.to_json_obj() for rec in self.rounds]),
-            "round_sets": [[self.source], *(rec["receipts"] for rec in rounds)],
+            "rounds": Encoded.array(texts),
+            "round_sets": round_sets,
         }
 
     def to_sync_trace(self) -> Trace:

@@ -34,11 +34,11 @@ MAX_EDGE_LIST_CHARS = 1 << 28
 def _acyclic(fn):
     """Run ``fn`` with the cyclic garbage collector paused, then restore it.
 
-    Only a builder allocating a tracked container per edge, send or message
-    is paused (``parse_edge_list``, both ``to_json_obj``): those containers,
-    up to millions, form no cycle, so each full collection would rescan the
-    live heap to free nothing. Engines and audits, whose inboxes are untracked
-    dicts of ints, run with the collector as the caller left it. A collector
+    Only a builder allocating a tracked container per edge is paused
+    (``parse_edge_list``): those containers, up to millions, form no cycle,
+    so each full collection would rescan the live heap to free nothing.
+    Engines, audits and the JSON builders, which write sends as text, run
+    with the collector as the caller left it. A collector
     the caller disabled stays disabled. Not for code where another thread
     toggles ``gc``: the pause is process-wide.
     """

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import multiprocessing
 import os
+import pickle
 from collections import Counter
 
 import pytest
@@ -329,10 +331,9 @@ def test_sweep_reports_a_run_past_the_termination_bound(monkeypatch):
                          for n in (2, 3) for _ in connected_graphs(n) for source in range(n)]
 
 
-def test_sweep_keeps_the_trace_of_a_mid_run_error(monkeypatch):
+def _bounce_every_send(monkeypatch):
     # A kernel that answers every send with its reverse never drains, so
-    # every run stops in the middle at the 2n+2 guard; each violation must
-    # carry the partial trace up to it.
+    # every run stops in the middle at the 2n+2 guard.
     forward = sync_engine._forward
 
     def bouncing(g, inbox):
@@ -341,15 +342,34 @@ def test_sweep_keeps_the_trace_of_a_mid_run_error(monkeypatch):
         return arcs_to_masks(g, {(v, u) for u, v in masks_to_arcs(g, inbox)})
 
     monkeypatch.setattr(sync_engine, "_forward", bouncing)
+
+
+def test_sweep_keeps_the_trace_of_a_mid_run_error(monkeypatch):
+    # Each violation must carry the partial trace up to the guard.
+    _bounce_every_send(monkeypatch)
     s = sweep(3, jobs=1)
     assert len(s.violations) == s.runs == 14
     for v in s.violations:
         assert v.check == "engine_invariant"
         assert v.detail == f"still active after {2 * v.n + 2} rounds on n={v.n}"
         assert v.trace is not None
-        assert v.trace["termination_round"] is None
-        assert len(v.trace["rounds"]) == 2 * v.n + 2
-        assert v.trace["rounds"][-1] == sorted([w, u] for u, w in v.trace["rounds"][-2])
+        trace = json.loads(dumps_stable(v.trace))
+        assert trace["termination_round"] is None
+        assert len(trace["rounds"]) == 2 * v.n + 2
+        assert trace["rounds"][-1] == sorted([w, u] for u, w in trace["rounds"][-2])
+
+
+def test_sweep_violation_traces_cross_the_worker_boundary(monkeypatch):
+    # A violation's trace holds its rounds as pre-encoded text, which the
+    # worker pickles back to the parent: the bytes must not depend on jobs.
+    _bounce_every_send(monkeypatch)
+    one = sweep(3, jobs=1)
+    text = dumps_stable(one.to_json_obj())
+    assert len(one.violations) == 14
+    assert dumps_stable(pickle.loads(pickle.dumps(one)).to_json_obj()) == text
+    two = sweep(3, jobs=2)
+    assert dumps_stable(two.to_json_obj()) == text
+    assert two == one  # an Encoded value compares by its text
 
 
 class _PoolStarted(Exception):

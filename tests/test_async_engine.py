@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import tracemalloc
 from itertools import combinations
 
@@ -8,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amflood.async_engine import (Adversary, AsyncRound,
-                                  HoldSecondSenderAdversary, OUTCOME_CYCLE,
+from amflood.async_engine import (Adversary, HoldSecondSenderAdversary, OUTCOME_CYCLE,
                                   OUTCOME_EXHAUSTED, OUTCOME_TERMINATED,
                                   UnfairScheduleError, ZeroDelayAdversary,
                                   run_async)
@@ -470,7 +470,7 @@ def test_engine_agrees_on_scripted_path_schedules():
 
 def test_async_json_shape():
     v = run_async(TRIANGLE, 1, HoldSecondSenderAdversary(), max_rounds=16)
-    obj = v.to_json_obj()
+    obj = json.loads(dumps_stable(v.to_json_obj()))
     assert set(obj) == {"source", "verdict", "rounds", "round_sets"}
     assert obj["verdict"]["outcome"] == "cycle"
     assert obj["verdict"]["first_seen"] == 3
@@ -497,25 +497,45 @@ def test_to_sync_trace_refuses_a_terminated_run_with_holds():
         v.to_sync_trace()
 
 
-def test_verdict_json_pauses_the_collector(monkeypatch):
-    round_json = AsyncRound.to_json_obj
-    seen = []
+def test_json_builders_add_tracked_objects_per_round_not_per_send():
+    # Both builders write every send and message as text, so what they leave
+    # for the cyclic collector grows with the rounds: the reason neither
+    # pauses it. The builders that made a list per send added thousands here.
+    g = gen_named("hypercube", 10)
+    trace, verdict = run_sync(g, 0), run_async(g, 0, ZeroDelayAdversary())
+    assert trace.total_sends == 5120 and len(verdict.rounds) == 10
+    gc.collect()
+    gc.disable()
+    try:
+        for run, rounds in ((trace, len(trace.inboxes)), (verdict, len(verdict.rounds))):
+            before = len(gc.get_objects())
+            obj = run.to_json_obj()
+            added = len(gc.get_objects()) - before
+            del obj
+            assert added <= rounds + 8, (type(run).__name__, added)
+    finally:
+        gc.enable()
 
-    def recording(self):
-        seen.append(gc.isenabled())
-        return round_json(self)
 
-    verdict = run_async(TRIANGLE, 0, HoldSecondSenderAdversary())
-    monkeypatch.setattr(AsyncRound, "to_json_obj", recording)
-    assert gc.isenabled()
-    verdict.to_json_obj()
-    assert len(seen) == len(verdict.rounds) and set(seen) == {False}
-    assert gc.isenabled()
+def test_verdict_json_peak_memory_is_bounded():
+    # The builder writes each round's record as text, so the run, the text it
+    # becomes and its bytes together stay under three times the bytes. The
+    # builder that made a list per message peaked at about 8 times.
+    g = gen_named("hypercube", 12)
+    dumps_stable(run_async(g, 0, ZeroDelayAdversary()).to_json_obj())  # warms the graph
+    tracemalloc.start()
+    try:
+        text = dumps_stable(run_async(g, 0, ZeroDelayAdversary()).to_json_obj())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 700_000
+    assert peak < 3 * len(text), peak / len(text)
 
 
 def test_traces_verdicts_and_json_make_no_cycles():
-    # Why the builders may pause the collector: what they drop, reference
-    # counting frees, so a collection afterwards finds nothing.
+    # What the engines, builders and writer drop, reference counting frees,
+    # so a collection afterwards finds nothing.
     graphs = [gen_named("petersen"), gen_named("cycle", 5), gen_named("hypercube", 4)]
     gc.collect()
     gc.disable()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import gc
+import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,18 @@ from hypothesis import strategies as st
 
 from amflood import sync_engine
 from amflood.graph import Graph, GraphError, DisconnectedGraphError, gen_named, parse_edge_list
+from amflood.jsonio import dumps_stable
 from amflood.sync_engine import (InternalInvariantError, RoundBudgetError, Trace,
                                  round_multiplicity, run_sync, step)
 
 from conftest import arcs_to_masks, connected_graph, masks_to_arcs
 
 TRIANGLE = parse_edge_list("a b\nb c\nc a")  # a=0, b=1, c=2
+
+
+def _json(trace: Trace) -> dict:
+    """The trace's JSON document, read back from its bytes."""
+    return json.loads(dumps_stable(trace.to_json_obj()))
 
 
 def test_step_triangle_exchange():
@@ -153,20 +161,6 @@ def test_run_sync_runs_with_the_callers_collector(monkeypatch):
     assert seen == [True] * 6 + [False] * 6
 
 
-def test_trace_json_pauses_the_collector():
-    seen = []
-
-    class Probe(dict):
-        def __iter__(self):
-            seen.append(gc.isenabled())
-            return super().__iter__()
-
-    trace = Trace(gen_named("path", 2), 0, (Probe({0: 0}), Probe({1: 1})), 1)
-    assert trace.to_json_obj()["round_sets"] == [[0], [1]]
-    assert seen == [False, False, False]
-    assert gc.isenabled()
-
-
 def test_collector_is_restored_after_a_budget_error():
     with pytest.raises(RoundBudgetError):
         run_sync(gen_named("cycle", 5), 0, max_rounds=1)
@@ -182,6 +176,22 @@ def test_collector_disabled_by_the_caller_stays_disabled():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_trace_json_peak_memory_is_bounded():
+    # The builder writes each round's sends as text, so the run, the text it
+    # becomes and its bytes together stay under three times the bytes. The
+    # builder that made a list per send peaked at about 16 times.
+    g = gen_named("hypercube", 12)
+    dumps_stable(run_sync(g, 0).to_json_obj())  # builds the graph's cached rev and BFS first
+    tracemalloc.start()
+    try:
+        text = dumps_stable(run_sync(g, 0).to_json_obj())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 300_000
+    assert peak < 3 * len(text), peak / len(text)
 
 
 def test_single_node_graph_terminates_immediately():
@@ -227,8 +237,8 @@ def _apply_automorphism(trace_rounds, pi):
 def test_trace_json_and_sends_agree_with_the_derived_rounds(g):
     for source in range(g.n):
         trace = run_sync(g, source)
-        assert trace.to_json_obj()["rounds"] == [[list(a) for a in sorted(c)]
-                                                 for c in trace.rounds]
+        assert _json(trace)["rounds"] == [[list(a) for a in sorted(c)]
+                                          for c in trace.rounds]
         assert trace.total_sends == sum(map(len, trace.rounds))
 
 
@@ -237,7 +247,7 @@ def test_trace_json_lists_a_send_with_no_sender_the_round_before():
     # although 1 received nothing in round 0.
     g = gen_named("path", 3)
     trace = Trace(g, 0, ({0: 0}, {1: 0b01, 2: 0b1}, {2: 0b1}), 2)
-    obj = trace.to_json_obj()
+    obj = _json(trace)
     assert obj["rounds"] == [[[0, 1], [1, 2]], [[1, 2]]]
     assert obj["round_sets"] == [[0], [1, 2], [2]]
     assert trace.total_sends == 3
@@ -261,7 +271,7 @@ def test_trace_equivariance_hypercube_bit_swap():
 
 def test_trace_json_shape():
     t = run_sync(TRIANGLE, 1)
-    obj = t.to_json_obj()
+    obj = _json(t)
     assert set(obj) == {"source", "rounds", "round_sets", "termination_round"}
     assert obj["rounds"][0] == [[1, 0], [1, 2]]
     assert obj["round_sets"][0] == [1]
