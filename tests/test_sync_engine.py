@@ -161,6 +161,25 @@ def test_run_sync_runs_with_the_callers_collector(monkeypatch):
     assert seen == [True] * 6 + [False] * 6
 
 
+def test_trace_json_pauses_the_collector():
+    # The collector need not be paused while the builder runs: it writes every
+    # send as text, so what it leaves for the cyclic collector grows with the
+    # rounds, not the sends. The builder that made a list per send added
+    # thousands of tracked objects here.
+    trace = run_sync(gen_named("hypercube", 10), 0)
+    assert trace.total_sends == 5120
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        obj = trace.to_json_obj()
+        added = len(gc.get_objects()) - before
+        del obj
+    finally:
+        gc.enable()
+    assert added <= len(trace.inboxes) + 8, added
+
+
 def test_collector_is_restored_after_a_budget_error():
     with pytest.raises(RoundBudgetError):
         run_sync(gen_named("cycle", 5), 0, max_rounds=1)
