@@ -31,29 +31,6 @@ MAX_RANDOM_DRAWS = 10**7
 MAX_EDGE_LIST_CHARS = 1 << 28
 
 
-def _acyclic(fn):
-    """Run ``fn`` with the cyclic garbage collector paused, then restore it.
-
-    Only a builder allocating a tracked container per edge is paused
-    (``parse_edge_list``): those containers, up to millions, form no cycle,
-    so each full collection would rescan the live heap to free nothing.
-    Engines, audits and the JSON builders, which write sends as text, run
-    with the collector as the caller left it. A collector
-    the caller disabled stays disabled. Not for code where another thread
-    toggles ``gc``: the pause is process-wide.
-    """
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        if not gc.isenabled():
-            return fn(*args, **kwargs)
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            gc.enable()
-    return wrapper
-
-
 class GraphError(ValueError):
     """Invalid graph input: construction, parsing, or generator parameters."""
 
@@ -100,13 +77,18 @@ class Graph:
         # precedes every edge (x, v) in the lexicographic order checked above.
         object.__setattr__(self, "adj", tuple(map(tuple, nbrs)))
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> Graph:
+    @staticmethod
+    def from_edges(n: int, edges) -> Graph:
         """Build a Graph, normalizing endpoint order and dropping duplicates."""
-        us, vs = tuple(zip(*edges, strict=True)) or ((), ())
+        # Pair by pair, so that no tuple per edge stays alive for the
+        # collector to rescan while the lists grow.
+        us, vs = [], []
+        for u, v in edges:
+            us.append(u)
+            vs.append(v)
         if us and not 0 <= min(min(us), min(vs)) <= max(max(us), max(vs)) < n:
             raise GraphError(f"an endpoint is out of range for n={n}")
-        return cls(n=n, edges=_normalized(n, us, vs))
+        return _graph(n, us, vs)
 
     @functools.cached_property
     def rev(self) -> tuple[tuple[int, ...], ...]:
@@ -154,19 +136,30 @@ def _check_size(what: str, n: int, m: int) -> None:
         raise GraphError(f"{what} has {m} edges, over the limit of {MAX_EDGES}")
 
 
-def _normalized(n: int, us, vs) -> tuple[Edge, ...]:
-    """The edges {us[i], vs[i]}, ids the caller has checked lie in [0, n), as
-    sorted, distinct pairs (u, v) with u < v, made from the integer keys
-    u*n+v, which are one-to-one on that range. The node limit is checked
-    before anything is built. Every endpoint of node v is the one int object
-    ids[v], so edges and the adj made from them hold one object per node,
-    and dict probes hit by identity."""
+def _graph(n: int, us, vs, labels: tuple[str, ...] | None = None) -> Graph:
+    """The Graph on n nodes with the edges {us[i], vs[i]}, ids the caller has
+    checked lie in [0, n), as sorted, distinct pairs (u, v) with u < v, made
+    from the integer keys u*n+v, which are one-to-one on that range. The node
+    limit is checked before anything is built. Every endpoint of node v is the
+    one int object ids[v], so edges and the adj made from them hold one object
+    per node, and dict probes hit by identity. The cyclic collector is paused
+    for the build and then restored, unless the caller had disabled it: the
+    pairs and adjacency tuples, up to millions, form no cycle, so a full pass
+    would rescan the heap to free nothing. The pause is process-wide."""
     _check_size("graph", n, 0)
-    # min*n + max as min*(n-1) + (u+v), which needs no max
-    keys = sorted(set(map(add, map(mul, map(min, us, vs), repeat(n - 1)), map(add, us, vs))))
-    ids = list(range(n))
-    return tuple(zip(map(ids.__getitem__, map(floordiv, keys, repeat(n))),
-                     map(ids.__getitem__, map(mod, keys, repeat(n)))))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # min*n + max as min*(n-1) + (u+v), which needs no max
+        keys = sorted(set(map(add, map(mul, map(min, us, vs), repeat(n - 1)), map(add, us, vs))))
+        ids = list(range(n))
+        edges = tuple(zip(map(ids.__getitem__, map(floordiv, keys, repeat(n))),
+                          map(ids.__getitem__, map(mod, keys, repeat(n)))))
+        del keys, ids
+        return Graph(n=n, edges=edges, labels=labels)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _bfs(g: Graph, source: int) -> list[int]:
@@ -252,7 +245,6 @@ def is_bipartite(g: Graph) -> BipartiteResult:
     return BipartiteResult(True, tuple(color), None)
 
 
-@_acyclic
 def parse_edge_list(text: str) -> Graph:
     """Parse "u v" lines into a Graph.
 
@@ -292,9 +284,8 @@ def parse_edge_list(text: str) -> Graph:
     if not all(map(ne, us, vs)):
         ident = int if labels is None else str
         raise _bad_line(text, lambda toks: ident(toks[0]) == ident(toks[1]) and "self-loop")
-    edges = _normalized(n, us, vs)
-    del ends, us, vs
-    return Graph(n=n, edges=edges, labels=labels)
+    del ends
+    return _graph(n, us, vs, labels)
 
 
 def _bad_line(text: str, why) -> GraphError:
@@ -385,7 +376,7 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
     threshold = int(p * float(1 << 64))
     state = seed & _MASK64
     edges = []
-    ids = list(range(n))  # one int object per node id, as in _normalized
+    ids = list(range(n))  # one int object per node id, as in _graph
     for u in ids:
         for v in ids[u + 1:]:
             state, draw = _splitmix64(state)

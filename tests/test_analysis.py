@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pickle
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from amflood.analysis import (AUDIT_CHECKS, BIPARTITE_EXACT, NONBIPARTITE_WINDOW
 from amflood.graph import (DisconnectedGraphError, _bfs, diameter, distance_profile,
                            gen_named, is_bipartite, parse_edge_list)
 from amflood.jsonio import dumps_stable
-from amflood.sync_engine import round_multiplicity, run_sync
+from amflood.sync_engine import InternalInvariantError, round_multiplicity, run_sync
 
 from conftest import arcs_to_masks, connected_graph, masks_to_arcs, sharp_search_n8
 
@@ -428,6 +429,17 @@ def test_find_sharp_canonical_witnesses():
     assert (c5.graph.n, c5.eccentricity, c5.diameter,
             c5.termination_round) == (5, 2, 2, 5)
     assert tri.is_sharp and c5.is_sharp
+
+
+def test_find_sharp_refuses_a_canonical_run_that_misses_the_bound(monkeypatch):
+    def one_round_early(g, source):
+        r = classify(g, source)
+        return replace(r, termination_round=r.termination_round - 1)
+
+    monkeypatch.setattr(analysis, "classify", one_round_early)
+    with pytest.raises(InternalInvariantError,
+                       match="^odd-cycle run missed the sharp bound$"):
+        find_sharp_example(2)
 
 
 def test_find_sharp_frontier_minimal_entries():

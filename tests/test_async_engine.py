@@ -134,6 +134,33 @@ def test_cycle_certificate_catches_a_falsely_deterministic_adversary():
         run_async(TRIANGLE, 0, _Fig6ThenSilent())
 
 
+class _Fig6SwervingAt(HoldSecondSenderAdversary):
+    """Declares itself deterministic and decides as fig6, except at decision
+    ``swerve``: there it holds the smallest age-0 message, or holds nothing
+    where fig6 would hold."""
+
+    def __init__(self, swerve: int):
+        self.swerve, self.decisions = swerve, 0
+
+    def decide(self, config):
+        self.decisions += 1
+        hold = super().decide(config)
+        if self.decisions != self.swerve:
+            return hold
+        return frozenset() if hold else frozenset([min((u, v) for u, v, age in config
+                                                       if age == 0)])
+
+
+def test_cycle_certificate_catches_a_swerve_in_the_last_replayed_decision():
+    # From node 0 fig6 first sees round 3's pool again in round 7 (period 4),
+    # so decisions 7-10 replay rounds 3-6. Every replayed pool matches until
+    # the 10th decision, whose round must hand back round 3's pool.
+    assert run_async(TRIANGLE, 0, _Fig6SwervingAt(11)).outcome == OUTCOME_CYCLE
+    with pytest.raises(InternalInvariantError,
+                       match="^configuration cycle failed to close$"):
+        run_async(TRIANGLE, 0, _Fig6SwervingAt(10))
+
+
 def test_small_budget_exhausts_before_cycle():
     v = run_async(TRIANGLE, 1, HoldSecondSenderAdversary(), max_rounds=2)
     assert v.outcome == OUTCOME_EXHAUSTED

@@ -1,17 +1,15 @@
 from __future__ import annotations
 
 import gc
-import importlib
-import os
-import pkgutil
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import amflood
 from amflood.graph import (MAX_EDGES, MAX_NODES, DisconnectedGraphError, Graph,
-                           GraphError, _acyclic, diameter,
+                           GraphError, diameter,
                            distance_profile, gen_named, gen_random,
                            is_bipartite, parse_edge_list,
                            render_edge_list)
@@ -100,31 +98,44 @@ def test_collector_is_restored_after_a_parse_error():
     assert gc.isenabled()
 
 
-def test_only_the_heap_filling_builders_pause_the_collector():
-    # The rule in graph._acyclic, pinned: pausing one more callable, or
-    # wrapping one with any other decorator of the package, has to edit this
-    # test on purpose. The standard library's wrappers (dataclass reprs,
-    # contextlib's context managers) pause nothing.
-    pause = _acyclic(len).__code__
-    paused, wrapper_files = set(), set()
-    for info in pkgutil.iter_modules(amflood.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"amflood.{info.name}")
-        for obj in vars(module).values():
-            if getattr(obj, "__module__", None) != module.__name__:
-                continue
-            for f in (obj, *(vars(obj).values() if isinstance(obj, type) else ())):
-                f = getattr(f, "__func__", f)  # a staticmethod has __wrapped__ too
-                if callable(f) and hasattr(f, "__wrapped__"):
-                    code = getattr(f, "__code__", None)
-                    if code is pause:
-                        paused.add(f.__qualname__)
-                    elif code is not None:
-                        wrapper_files.add(code.co_filename)
-    assert paused == {"parse_edge_list"}
-    package = os.path.dirname(amflood.__file__)
-    assert not [path for path in wrapper_files if path.startswith(package)]
+def test_only_the_heap_filling_builders_pause_the_collector(monkeypatch):
+    # The builders that normalize an edge list build their Graph with the
+    # collector paused, restore it after, and leave a collector the caller
+    # disabled as it was. gen_random builds its Graph directly, with the
+    # caller's collector, and the package has one pause site.
+    seen = []
+    post_init = Graph.__post_init__
+
+    def spy(self):
+        seen.append(gc.isenabled())
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", spy)
+    builds = {
+        "parse_edge_list, numeric": lambda: parse_edge_list("0 1\n1 2\n"),
+        "parse_edge_list, labels": lambda: parse_edge_list("a b\nb c\n"),
+        "Graph.from_edges": lambda: Graph.from_edges(3, [(1, 0), (1, 2)]),
+        "gen_named": lambda: gen_named("cycle", 5),
+    }
+    for caller_enabled in (True, False):
+        if not caller_enabled:
+            gc.disable()
+        try:
+            for name, build in builds.items():
+                seen.clear()
+                build()
+                assert seen == [False], name
+                assert gc.isenabled() is caller_enabled, name
+            with pytest.raises(GraphError, match="self-loop"):  # raised inside the pause
+                Graph.from_edges(3, [(0, 0)])
+            assert gc.isenabled() is caller_enabled
+            seen.clear()
+            gen_random(5, 0.5, 1)
+            assert seen == [caller_enabled]
+        finally:
+            gc.enable()
+    package = Path(amflood.__file__).parent
+    assert sum(path.read_text().count("gc.disable(") for path in package.glob("*.py")) == 1
 
 
 def test_render_round_trip_is_id_identical():
