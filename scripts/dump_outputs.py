@@ -15,7 +15,7 @@ the manifest records, it also prints the first differing line of each
 changed output.
 
 The corpus: the sweep summary JSON for every n_max <= 6 with one and with
-two workers; the sharpness search for (8), (5), (4, target (2, 5)) and
+two workers; the sharpness search for (8), (5), (4, target (3, 5)) and
 (6, target (3, 3)); CLI ``run`` in the sync, ``async:zero`` and
 ``async:fig6`` modes and ``analyze`` from every source of each graph below;
 ``run`` on one larger random graph from node 0 in sync mode, in full and
@@ -60,7 +60,7 @@ TWO_PARTS = "0 1\n2 3\n"  # disconnected: every command rejects it
 BAD_FILES = {"self_loop": "# c\n\n0 1\n2 2\n", "three_endpoints": "0 1\n# x\n\n1 2 3\n",
              "long_id": "0 1\n# x\n1 " + "1" * 5000 + "\n"}
 MODES = ("sync", "async:zero", "async:fig6")
-SHARP = [("8", 8, (2, 4)), ("5", 5, (2, 4)), ("4_2_5", 4, (2, 5)), ("6_3_3", 6, (3, 3))]
+SHARP = [("8", 8, (2, 4)), ("5", 5, (2, 4)), ("4_3_5", 4, (3, 5)), ("6_3_3", 6, (3, 3))]
 INPUT_ERRORS = [
     ("run", "--graph", "no/such/file.edges", "--source", "0"),
     ("run", "--named", "torus:3", "--source", "0"),

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 from .graph import DisconnectedGraphError, Edge, Graph, _bfs, diameter, gen_named, is_bipartite
+from .jsonio import Encoded, dumps_stable
 from .sync_engine import (Inbox, InternalInvariantError, Receipts, Trace, _flood, _receipts,
                           run_sync)
 
@@ -240,12 +241,12 @@ class SweepViolation:
     source: int
     check: str
     detail: str
-    trace: dict | None
+    trace: Trace | None
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges],
-                "source": self.source, "check": self.check,
-                "detail": self.detail, "trace": self.trace}
+                "source": self.source, "check": self.check, "detail": self.detail,
+                "trace": None if self.trace is None else self.trace.to_json_obj()}
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,8 @@ class SweepSummary:
             "max_j": self.max_termination_round,
             "j_minus_e_histogram": {str(k): v for k, v in
                                     sorted(self.j_minus_e_histogram.items())},
-            "violations": [v.to_json_obj() for v in self.violations],
+            "violations": Encoded.array(dumps_stable(v.to_json_obj()).rstrip("\n")
+                                        for v in self.violations),
         }
 
 
@@ -319,9 +321,8 @@ def _examine_graph(g: Graph, row0: list[int], tally: _Tally) -> None:
             if found:
                 trace = Trace(g, source, tuple(inboxes), j)
         if found:
-            dump = trace.to_json_obj() if trace is not None else None
             tally.violations.extend(SweepViolation(g.n, g.edges, source, check, detail,
-                                                   dump) for check, detail in found)
+                                                   trace) for check, detail in found)
 
 
 def _sweep_block(block: tuple[int, int, int]) -> _Tally:
@@ -447,15 +448,17 @@ def find_sharp_example(n_max: int, target: tuple[int, int] = (2, 4)) -> SharpSea
     count where a witness with (eccentricity, diameter) == ``target`` has been
     seen, so everything reported as minimal really is minimal. If the target
     is never attained, the attained frontier up to ``n_max`` is the answer.
-    A target with e < 1 or e > d, which no source of a graph with n >= 2
-    attains, is refused before any graph is built.
+    A target with e < 1, e > d or d > 2e, which no source of a connected
+    graph with n >= 2 attains (d(x, y) <= d(x, s) + d(s, y) <= 2e), is
+    refused before any graph is built.
     """
     if not 2 <= n_max <= 8:
         raise ValueError(f"n_max must be between 2 and 8, got {n_max}")
     e, d = target
-    if not 1 <= e <= d:
+    if not 1 <= e <= d <= 2 * e:
+        need = "diameter <= 2 * eccentricity" if 1 <= e <= d else "1 <= eccentricity <= diameter"
         raise ValueError(f"no graph has a source of eccentricity {e} and diameter {d}: "
-                         f"need 1 <= eccentricity <= diameter")
+                         f"need {need}")
     frontier: dict[tuple[int, int], SharpWitness] = {}
     n_searched = 0
     for n in range(2, n_max + 1):

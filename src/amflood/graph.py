@@ -139,19 +139,22 @@ def _check_size(what: str, n: int, m: int) -> None:
 def _graph(n: int, us, vs, labels: tuple[str, ...] | None = None) -> Graph:
     """The Graph on n nodes with the edges {us[i], vs[i]}, ids the caller has
     checked lie in [0, n), as sorted, distinct pairs (u, v) with u < v, made
-    from the integer keys u*n+v, which are one-to-one on that range. The node
-    limit is checked before anything is built. Every endpoint of node v is the
-    one int object ids[v], so edges and the adj made from them hold one object
-    per node, and dict probes hit by identity. The cyclic collector is paused
-    for the build and then restored, unless the caller had disabled it: the
-    pairs and adjacency tuples, up to millions, form no cycle, so a full pass
-    would rescan the heap to free nothing. The pause is process-wide."""
+    from the integer keys u*n+v, which are one-to-one on that range. It
+    consumes the lists us and vs, emptying both once the keys exist, so they
+    do not live through the build. The node limit is checked before anything
+    is built. Every endpoint of node v is the one int object ids[v], so edges
+    and the adj made from them hold one object per node, and dict probes hit
+    by identity. The cyclic collector is paused for the build and then
+    restored, unless the caller had disabled it: the pairs and adjacency
+    tuples, up to millions, form no cycle, so a full pass would rescan the
+    heap to free nothing. The pause is process-wide."""
     _check_size("graph", n, 0)
     enabled = gc.isenabled()
     gc.disable()
     try:
         # min*n + max as min*(n-1) + (u+v), which needs no max
         keys = sorted(set(map(add, map(mul, map(min, us, vs), repeat(n - 1)), map(add, us, vs))))
+        del us[:], vs[:]
         ids = list(range(n))
         edges = tuple(zip(map(ids.__getitem__, map(floordiv, keys, repeat(n))),
                           map(ids.__getitem__, map(mod, keys, repeat(n)))))
@@ -298,7 +301,10 @@ def _bad_line(text: str, why) -> GraphError:
 
 
 def render_edge_list(g: Graph) -> str:
-    """Emit the edge-list format parse_edge_list reads, with '#' header comments."""
+    """Emit the edge-list format parse_edge_list reads, with '#' header comments.
+    It reads n as one more than the largest id, so node n-1 must have an edge."""
+    if not g.adj[-1]:
+        raise GraphError(f"node {g.n - 1} has no edge, so an edge list cannot carry n={g.n}")
     lines = [f"# n={g.n} m={g.m}"]
     if g.labels is not None:
         lines.extend(f"# label {i} {name}" for i, name in enumerate(g.labels))

@@ -18,9 +18,6 @@ class Encoded:
     def __init__(self, chunks: list[str]):
         self.chunks = chunks
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Encoded) and "".join(self.chunks) == "".join(other.chunks)
-
     @classmethod
     def array(cls, texts) -> Encoded:
         """The JSON array of the already-encoded ``texts``."""
@@ -33,9 +30,9 @@ class Encoded:
 
 
 def dumps_stable(obj) -> str:
-    """Walks dicts with str keys and lists of dicts, copying each Encoded value
-    as it is; the encoder takes every other value whole and refuses an
-    Encoded inside it with TypeError."""
+    """Walks dicts with str keys, copying each Encoded value as it is; the
+    encoder takes every other value whole and refuses an Encoded inside it
+    with TypeError. So an Encoded is the whole document or a dict value."""
     out: list[str] = []
     _write(obj, out)
     out.append("\n")
@@ -52,12 +49,5 @@ def _write(obj, out: list[str]) -> None:
             _write(obj[k], out)
             sep = ","
         out.append("}" if sep == "," else "{}")
-    elif isinstance(obj, list) and obj and isinstance(obj[0], dict):
-        sep = "["
-        for item in obj:
-            out.append(sep)
-            _write(item, out)
-            sep = ","
-        out.append("]")
     else:
         out.append(_encode(obj))

@@ -354,15 +354,15 @@ def test_sweep_keeps_the_trace_of_a_mid_run_error(monkeypatch):
         assert v.check == "engine_invariant"
         assert v.detail == f"still active after {2 * v.n + 2} rounds on n={v.n}"
         assert v.trace is not None
-        trace = json.loads(dumps_stable(v.trace))
+        trace = json.loads(dumps_stable(v.trace.to_json_obj()))
         assert trace["termination_round"] is None
         assert len(trace["rounds"]) == 2 * v.n + 2
         assert trace["rounds"][-1] == sorted([w, u] for u, w in trace["rounds"][-2])
 
 
 def test_sweep_violation_traces_cross_the_worker_boundary(monkeypatch):
-    # A violation's trace holds its rounds as pre-encoded text, which the
-    # worker pickles back to the parent: the bytes must not depend on jobs.
+    # A violation holds its Trace, which the worker pickles back to the
+    # parent: the bytes must not depend on jobs.
     _bounce_every_send(monkeypatch)
     one = sweep(3, jobs=1)
     text = dumps_stable(one.to_json_obj())
@@ -370,7 +370,7 @@ def test_sweep_violation_traces_cross_the_worker_boundary(monkeypatch):
     assert dumps_stable(pickle.loads(pickle.dumps(one)).to_json_obj()) == text
     two = sweep(3, jobs=2)
     assert dumps_stable(two.to_json_obj()) == text
-    assert two == one  # an Encoded value compares by its text
+    assert two == one  # a violation's Trace compares by its fields
 
 
 class _PoolStarted(Exception):
@@ -483,10 +483,10 @@ def test_find_sharp_rejects_bad_n_max():
             find_sharp_example(n_max)
 
 
-@pytest.mark.parametrize("target", [(5, 2), (0, 3), (-1, -1), (3, 0)])
+@pytest.mark.parametrize("target", [(5, 2), (0, 3), (-1, -1), (3, 0), (1, 3), (2, 5)])
 def test_find_sharp_refuses_a_target_no_graph_attains(monkeypatch, target):
-    # 1 <= e <= d holds for every source of a graph with n >= 2, so such a
-    # target is refused before a single graph is built
+    # 1 <= e <= d <= 2e holds for every source of a connected graph with
+    # n >= 2, so such a target is refused before a single graph is built
     def no_graphs(*args):
         raise AssertionError("a graph was built")
 
@@ -499,7 +499,7 @@ def test_find_sharp_refuses_a_target_no_graph_attains(monkeypatch, target):
 
 def test_find_sharp_absent_target_reports_frontier():
     # nothing with diameter 5 fits in 4 nodes; the frontier is the answer
-    r = find_sharp_example(4, target=(2, 5))
+    r = find_sharp_example(4, target=(3, 5))
     assert r.target is None
     assert r.n_searched == 4
     assert (1, 1) in r.frontier

@@ -151,6 +151,14 @@ def test_render_round_trip_random(g):
     assert back.n == g.n and back.edges == g.edges
 
 
+@pytest.mark.parametrize("g", [Graph(3, ((0, 1),)), Graph(1, ())],
+                         ids=["isolated_last", "one_node"])
+def test_render_refuses_a_graph_whose_last_node_has_no_edge(g):
+    # an edge list reads n as one more than its largest id, so this n is lost
+    with pytest.raises(GraphError, match=rf"^node {g.n - 1} has no edge, "):
+        render_edge_list(g)
+
+
 def test_graph_validates_construction():
     with pytest.raises(GraphError):
         Graph.from_edges(3, [(0, 0)])
