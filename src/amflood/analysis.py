@@ -243,10 +243,12 @@ class SweepViolation:
     detail: str
     trace: Trace | None
 
-    def to_json_obj(self) -> dict:
+    def to_json_obj(self, trace_json=None) -> dict:
+        """``trace_json``, given, writes the trace in place of Trace.to_json_obj."""
         return {"n": self.n, "edges": [list(e) for e in self.edges],
                 "source": self.source, "check": self.check, "detail": self.detail,
-                "trace": None if self.trace is None else self.trace.to_json_obj()}
+                "trace": None if self.trace is None
+                else (trace_json or Trace.to_json_obj)(self.trace)}
 
 
 @dataclass(frozen=True)
@@ -260,6 +262,16 @@ class SweepSummary:
     violations: tuple[SweepViolation, ...]
 
     def to_json_obj(self) -> dict:
+        # The violations of one run share its Trace: write each distinct one
+        # once, keyed by identity. Equal traces of different runs give equal
+        # text, so the bytes do not depend on which worker found them.
+        written: dict[int, dict] = {}
+
+        def trace_json(trace: Trace) -> dict:
+            if id(trace) not in written:
+                written[id(trace)] = trace.to_json_obj()
+            return written[id(trace)]
+
         return {
             "n_max": self.n_max,
             "graphs": self.graphs,
@@ -267,7 +279,7 @@ class SweepSummary:
             "max_j": self.max_termination_round,
             "j_minus_e_histogram": {str(k): v for k, v in
                                     sorted(self.j_minus_e_histogram.items())},
-            "violations": Encoded.array(dumps_stable(v.to_json_obj()).rstrip("\n")
+            "violations": Encoded.array(dumps_stable(v.to_json_obj(trace_json)).rstrip("\n")
                                         for v in self.violations),
         }
 

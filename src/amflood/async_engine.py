@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import add, mul
 
 from .graph import Graph
-from .jsonio import Encoded
+from .jsonio import ArrayWriter
 from .sync_engine import (Arc, Inbox, InternalInvariantError, Trace, _arcs, _check_floodable,
                           _forward, _inbox)
 
@@ -129,19 +129,21 @@ def _messages_text(g: Graph, inboxes: tuple[Inbox, ...]) -> str:
 
 @dataclass(frozen=True, slots=True)
 class AsyncRound:
-    """One executed round: its round-start pool and the inboxes it held, per age.
-    The message sets pool, delivered and held, and the receipts, are derived."""
+    """One executed round: its round-start inboxes and the inboxes it held, per
+    age. The message sets pool, delivered and held, and the receipts, are
+    derived."""
 
-    start: _Pool
+    graph: Graph = field(compare=False, repr=False)
+    inboxes: tuple[Inbox, ...]
     held_inboxes: tuple[Inbox, ...]
 
     @property
     def pool(self) -> AsyncConfiguration:
-        return self.start.messages
+        return frozenset(_messages(self.graph, self.inboxes))
 
     @property
     def held(self) -> AsyncConfiguration:
-        return frozenset(_messages(self.start.graph, self.held_inboxes))
+        return frozenset(_messages(self.graph, self.held_inboxes))
 
     @property
     def delivered(self) -> AsyncConfiguration:
@@ -149,17 +151,17 @@ class AsyncRound:
 
     @property
     def receipts(self) -> frozenset[int]:
-        return frozenset(_union(_delivered(self.start.inboxes, self.held_inboxes)))
+        return frozenset(_union(_delivered(self.inboxes, self.held_inboxes)))
 
-    def _json_text(self) -> tuple[str, list[int]]:
-        """The round's JSON record as text, and its sorted receipts."""
-        g, inboxes, held = self.start.graph, self.start.inboxes, self.held_inboxes
+    def _json_text(self) -> tuple[str, str]:
+        """The round's JSON record as text, and its sorted receipts as text."""
+        g, inboxes, held = self.graph, self.inboxes, self.held_inboxes
         delivered = _delivered(inboxes, held)
         pool = _messages_text(g, inboxes)
         texts = (_messages_text(g, delivered), _messages_text(g, held)) if held else (pool, "[]")
-        receipts = sorted(_union(delivered))
-        return ('{"delivered":%s,"held":%s,"pool":%s,"receipts":[%s]}'
-                % (*texts, pool, ",".join(map(str, receipts))), receipts)
+        receipts = f"[{','.join(map(str, sorted(_union(delivered))))}]"
+        return ('{"delivered":%s,"held":%s,"pool":%s,"receipts":%s}'
+                % (*texts, pool, receipts), receipts)
 
 
 @dataclass(frozen=True)
@@ -180,11 +182,12 @@ class AsyncVerdict:
         return (frozenset((self.source,)), *(rec.receipts for rec in self.rounds))
 
     def to_json_obj(self) -> dict:
-        texts, round_sets = [], [[self.source]]
+        records, round_sets = ArrayWriter(), ArrayWriter()
+        round_sets.add(f"[{self.source}]")
         for rec in self.rounds:
-            text, receipts = rec._json_text()
-            texts.append(text)
-            round_sets.append(receipts)
+            record, receipts = rec._json_text()
+            records.add(record)
+            round_sets.add(receipts)
         return {
             "source": self.source,
             "verdict": {
@@ -193,8 +196,8 @@ class AsyncVerdict:
                 "first_seen": self.first_seen,
                 "period": self.period,
             },
-            "rounds": Encoded.array(texts),
-            "round_sets": round_sets,
+            "rounds": records.close(),
+            "round_sets": round_sets.close(),
         }
 
     def to_sync_trace(self) -> Trace:
@@ -203,7 +206,7 @@ class AsyncVerdict:
             raise ValueError(f"run did not terminate (outcome={self.outcome})")
         if any(rec.held_inboxes for rec in self.rounds):
             raise ValueError("run used holds; it has no synchronous equivalent")
-        inboxes = ({self.source: 0}, *(rec.start.inboxes[0] for rec in self.rounds))
+        inboxes = ({self.source: 0}, *(rec.inboxes[0] for rec in self.rounds))
         return Trace(self.graph, self.source, inboxes, self.termination_round)
 
 
@@ -228,15 +231,15 @@ def _delivered(inboxes: tuple[Inbox, ...], held: tuple[Inbox, ...]) -> tuple[Inb
     return (*map(_minus, inboxes, held), *inboxes[len(held):])
 
 
-def _execute_round(pool: _Pool, hold: frozenset[Arc],
+def _execute_round(g: Graph, inboxes: tuple[Inbox, ...], hold: frozenset[Arc],
                    hold_cap: int) -> tuple[tuple[Inbox, ...], AsyncRound]:
-    """Resolve one round from the round-start ``pool``, holding the messages
-    on the arcs in ``hold`` and delivering the rest. Pure: returns the next
-    round-start pool's inboxes and the round's record."""
-    g, inboxes, held = pool.graph, pool.inboxes, ()
+    """Resolve one round from the round-start pool ``inboxes``, holding the
+    messages on the arcs in ``hold`` and delivering the rest. Pure: returns
+    the next round-start pool's inboxes and the round's record."""
+    held = ()
     if hold:
         # checked on the messages, before any held arc enters a mask
-        ages = {(u, v): age for u, v, age in pool}
+        ages = {(u, v): age for u, v, age in _messages(g, inboxes)}
         for arc in hold:
             if arc not in ages:
                 raise UnfairScheduleError(f"adversary held {arc} which is not in flight")
@@ -250,7 +253,7 @@ def _execute_round(pool: _Pool, hold: frozenset[Arc],
         # a fresh send on an arc that already carries a held copy collapses
         # into it; the token is a single indistinguishable M
         sends = _minus(sends, _union(held))
-    return (sends, *held) if sends or held else (), AsyncRound(pool, held)
+    return (sends, *held) if sends or held else (), AsyncRound(g, inboxes, held)
 
 
 def run_async(g: Graph, source: int, adversary: Adversary,
@@ -293,11 +296,11 @@ def run_async(g: Graph, source: int, adversary: Adversary,
             return verdict(OUTCOME_EXHAUSTED)
         if seen is not None and seen.setdefault(key(inboxes), r) < r:
             break
-        pool = _Pool(g, inboxes)
-        inboxes, record = _execute_round(pool, adversary.decide(pool), hold_cap)
+        inboxes, record = _execute_round(g, inboxes, adversary.decide(_Pool(g, inboxes)),
+                                         hold_cap)
         rounds.append(record)
         if seen is None and record.held_inboxes and adversary.deterministic:
-            seen = {key(rec.start.inboxes): t for t, rec in enumerate(rounds, 1)}
+            seen = {key(rec.inboxes): t for t, rec in enumerate(rounds, 1)}
     if not inboxes:
         return verdict(OUTCOME_TERMINATED, termination_round=r)
 
@@ -305,11 +308,11 @@ def run_async(g: Graph, source: int, adversary: Adversary,
     period = r - first
     # Certify: one more period must reproduce the recorded segment exactly.
     for k in range(period):
-        if inboxes != rounds[first - 1 + k].start.inboxes:
+        if inboxes != rounds[first - 1 + k].inboxes:
             raise InternalInvariantError("configuration cycle failed to replay")
-        pool = _Pool(g, inboxes)
-        inboxes, record = _execute_round(pool, adversary.decide(pool), hold_cap)
+        inboxes, record = _execute_round(g, inboxes, adversary.decide(_Pool(g, inboxes)),
+                                         hold_cap)
         rounds.append(record)
-    if inboxes != rounds[first - 1].start.inboxes:
+    if inboxes != rounds[first - 1].inboxes:
         raise InternalInvariantError("configuration cycle failed to close")
     return verdict(OUTCOME_CYCLE, first_seen=first, period=period)

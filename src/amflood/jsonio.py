@@ -21,12 +21,41 @@ class Encoded:
     @classmethod
     def array(cls, texts) -> Encoded:
         """The JSON array of the already-encoded ``texts``."""
-        chunks = []
+        writer = ArrayWriter()
         for text in texts:
-            chunks += (",", text)
-        chunks[:1] = ["["]  # replaces the first comma, or starts an empty array
-        chunks.append("]")
-        return cls(chunks)
+            writer.add(text)
+        return writer.close()
+
+
+# Items an ArrayWriter joins into one chunk. A block bounds the item strings
+# alive at once: the JSON of a trace on path:20000 peaked at 11.5x its text
+# when it kept every round's string and round-set until one final join, and
+# at 2.0x in blocks of 256 (tracemalloc).
+_BLOCK = 256
+
+
+class ArrayWriter:
+    """Writes a JSON array from already-encoded texts handed over one at a
+    time, joining each run of _BLOCK of them into one chunk as it goes, so no
+    item's string outlives its block. close() returns the array as Encoded."""
+
+    __slots__ = ("_chunks", "_block")
+
+    def __init__(self):
+        self._chunks, self._block = [], []
+
+    def add(self, text: str) -> None:
+        self._block.append(text)
+        if len(self._block) == _BLOCK:
+            self._chunks += (",", ",".join(self._block))
+            self._block.clear()
+
+    def close(self) -> Encoded:
+        if self._block:
+            self._chunks += (",", ",".join(self._block))
+        self._chunks[:1] = ["["]  # replaces the first comma, or starts an empty array
+        self._chunks.append("]")
+        return Encoded(self._chunks)
 
 
 def dumps_stable(obj) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import DisconnectedGraphError, Graph
-from .jsonio import Encoded
+from .jsonio import ArrayWriter
 
 Arc = tuple[int, int]
 Configuration = frozenset[Arc]
@@ -68,29 +68,34 @@ class Trace:
 
     def to_json_obj(self) -> dict:
         adj, rev = self.graph.adj, self.graph.rev
-        round_sets = [sorted(ib) for ib in self.inboxes]
-        rounds = []
-        for senders, inbox in zip(round_sets, self.inboxes[1:]):
-            # The senders of round t received in round t-1: walking them in
-            # id order yields the sends sorted, written as text one block of
-            # senders at a time. It beat decoding each receiver's mask and
-            # sorting: 0.27 s against 0.37 s on perfbench's large_sparse.
-            get = inbox.get
-            texts, count = [], 0
-            for i in range(0, len(senders), _SENDER_BLOCK):
-                if sends := [f"[{u},{v}]" for u in senders[i:i + _SENDER_BLOCK]
-                             for v, b in zip(adj[u], rev[u]) if get(v, 0) >> b & 1]:
-                    texts.append(",".join(sends))
-                    count += len(sends)
-            if count < sum(map(int.bit_count, inbox.values())):
-                # a send whose sender did not receive the round before: only
-                # a broken kernel records one
-                texts = [f"[{u},{v}]" for u, v in sorted(_arcs(self.graph, inbox))]
-            rounds.append(f"[{','.join(texts)}]")
+        rounds, round_sets = ArrayWriter(), ArrayWriter()
+        senders = None
+        for inbox in self.inboxes:
+            if senders is not None:
+                # The senders of round t received in round t-1: walking them
+                # in id order yields the sends sorted, written as text one
+                # block of senders at a time. It beat decoding each receiver's
+                # mask and sorting: 0.27 s against 0.37 s on perfbench's
+                # large_sparse.
+                get = inbox.get
+                texts, count = [], 0
+                for i in range(0, len(senders), _SENDER_BLOCK):
+                    if sends := [f"[{u},{v}]" for u in senders[i:i + _SENDER_BLOCK]
+                                 for v, b in zip(adj[u], rev[u]) if get(v, 0) >> b & 1]:
+                        texts.append(",".join(sends))
+                        count += len(sends)
+                if count < sum(map(int.bit_count, inbox.values())):
+                    # a send whose sender did not receive the round before:
+                    # only a broken kernel records one
+                    texts = [f"[{u},{v}]" for u, v in sorted(_arcs(self.graph, inbox))]
+                rounds.add(f"[{','.join(texts)}]")
+            # each inbox is sorted once: its round-set, then the next round's senders
+            senders = sorted(inbox)
+            round_sets.add(f"[{','.join(map(str, senders))}]")
         return {
             "source": self.source,
-            "rounds": Encoded.array(rounds),
-            "round_sets": round_sets,
+            "rounds": rounds.close(),
+            "round_sets": round_sets.close(),
             "termination_round": self.termination_round,
         }
 

@@ -18,7 +18,7 @@ from amflood.analysis import (AUDIT_CHECKS, BIPARTITE_EXACT, NONBIPARTITE_WINDOW
 from amflood.graph import (DisconnectedGraphError, _bfs, diameter, distance_profile,
                            gen_named, is_bipartite, parse_edge_list)
 from amflood.jsonio import dumps_stable
-from amflood.sync_engine import InternalInvariantError, round_multiplicity, run_sync
+from amflood.sync_engine import InternalInvariantError, Trace, round_multiplicity, run_sync
 
 from conftest import arcs_to_masks, connected_graph, masks_to_arcs, sharp_search_n8
 
@@ -270,9 +270,8 @@ def test_sweep_parallel_is_byte_identical():
     assert a == b
 
 
-def test_sweep_reports_a_faulty_kernel(monkeypatch):
-    # Drop one arc from every round's sends: the sweep must flag it, naming
-    # the check and carrying the trace.
+def _drop_the_largest_send(monkeypatch):
+    # Drop one arc from every round's sends.
     forward = sync_engine._forward
 
     def dropping(g, inbox):
@@ -282,6 +281,12 @@ def test_sweep_reports_a_faulty_kernel(monkeypatch):
         return arcs_to_masks(g, out - {max(out)} if out else out)
 
     monkeypatch.setattr(sync_engine, "_forward", dropping)
+
+
+def test_sweep_reports_a_faulty_kernel(monkeypatch):
+    # The sweep must flag a kernel that drops a send, naming the check and
+    # carrying the trace.
+    _drop_the_largest_send(monkeypatch)
     s = sweep(4, jobs=1)
     assert s.violations
     names = {"engine_invariant", "termination_bound", "termination_window",
@@ -293,6 +298,23 @@ def test_sweep_reports_a_faulty_kernel(monkeypatch):
                                                 "audit:layer_containment"}
     # pinned bytes of the whole summary, violations and their traces included
     assert _digest(s) == "c2d733c95f4f8e015f13f7500d57828bfdc3a007c9e648c0f0fce194c1a6700e"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_summary_writes_each_shared_trace_once(monkeypatch, jobs):
+    # The violations of one run share its Trace, also after the worker
+    # pickles them back, and the summary writes each distinct trace once.
+    _drop_the_largest_send(monkeypatch)
+    s = sweep(4, jobs=jobs)
+    written = []
+    to_json_obj = Trace.to_json_obj
+    monkeypatch.setattr(Trace, "to_json_obj", lambda t: written.append(t) or to_json_obj(t))
+    digest = _digest(s)
+    distinct = {id(v.trace) for v in s.violations}
+    assert (len(written), len(distinct), len(s.violations)) == (157, 157, 446)
+    assert {id(t) for t in written} == distinct
+    # the same bytes as test_sweep_reports_a_faulty_kernel's, with any jobs
+    assert digest == "c2d733c95f4f8e015f13f7500d57828bfdc3a007c9e648c0f0fce194c1a6700e"
 
 
 def test_sweep_reports_a_kernel_that_loses_round_one(monkeypatch):

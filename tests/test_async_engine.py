@@ -526,21 +526,24 @@ def test_to_sync_trace_refuses_a_terminated_run_with_holds():
 
 def test_verdict_json_pauses_the_collector():
     # The collector need not be paused while the builder runs: it writes every
-    # message as text, so what it leaves for the cyclic collector grows with
-    # the rounds, not the messages. The builder that made a list per message
-    # added thousands of tracked objects here.
-    verdict = run_async(gen_named("hypercube", 10), 0, ZeroDelayAdversary())
-    assert len(verdict.rounds) == 10
-    gc.collect()
-    gc.disable()
-    try:
-        before = len(gc.get_objects())
-        obj = verdict.to_json_obj()
-        added = len(gc.get_objects()) - before
-        del obj
-    finally:
-        gc.enable()
-    assert added <= len(verdict.rounds) + 8, added
+    # message and round-set as text, joined in blocks, so what it leaves for
+    # the cyclic collector is a few objects whatever the messages and rounds.
+    # The builder that made a list per message added thousands of tracked
+    # objects on hypercube:10, and the one that kept a list per round-set
+    # added one per round on path:20000.
+    for g, rounds in ((gen_named("hypercube", 10), 10), (gen_named("path", 20000), 19999)):
+        verdict = run_async(g, 0, ZeroDelayAdversary())
+        assert len(verdict.rounds) == rounds
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            obj = verdict.to_json_obj()
+            added = len(gc.get_objects()) - before
+            del obj
+        finally:
+            gc.enable()
+        assert added <= 8, (g.n, added)
 
 
 def test_verdict_json_peak_memory_is_bounded():
@@ -557,6 +560,22 @@ def test_verdict_json_peak_memory_is_bounded():
         tracemalloc.stop()
     assert len(text) > 700_000
     assert peak < 3 * len(text), peak / len(text)
+
+
+def test_long_run_verdict_json_peak_memory_is_bounded():
+    # One message per round: the builder joins the records and round-sets
+    # into blocks as it goes, so its chunks and their join peak at about twice
+    # the text. One string and one list per round peaked at 3.8 times here.
+    verdict = run_async(gen_named("path", 20000), 0, ZeroDelayAdversary())
+    dumps_stable(verdict.to_json_obj())  # builds the graph's cached rev first
+    tracemalloc.start()
+    try:
+        text = dumps_stable(verdict.to_json_obj())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1_500_000
+    assert peak < 2.5 * len(text), peak / len(text)
 
 
 def test_traces_verdicts_and_json_make_no_cycles():

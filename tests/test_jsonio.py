@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amflood.jsonio import Encoded, dumps_stable
+from amflood import jsonio
+from amflood.jsonio import ArrayWriter, Encoded, dumps_stable
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.text()
 _TREES = st.recursive(
@@ -42,6 +43,19 @@ def test_an_encoded_array_writes_what_it_stands_for(items):
     texts = (json.dumps(x, separators=(",", ":")) for x in items)
     obj = {"rounds": Encoded.array(texts), "rest": [{"k": 0}]}
     assert dumps_stable(obj) == _reference({"rounds": items, "rest": [{"k": 0}]})
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, jsonio._BLOCK - 1, jsonio._BLOCK, jsonio._BLOCK + 1,
+                                   3 * jsonio._BLOCK])
+def test_the_array_writer_joins_blocks_without_changing_the_array(count):
+    writer = ArrayWriter()
+    for i in range(count):
+        writer.add(f"[{i}]")
+    encoded = writer.close()
+    assert dumps_stable({"a": encoded}) == _reference({"a": [[i] for i in range(count)]})
+    # one chunk per block, each but the first after a comma, inside the brackets
+    blocks = -(-count // jsonio._BLOCK)
+    assert len(encoded.chunks) == 2 + max(0, 2 * blocks - 1)
 
 
 def test_an_encoded_value_survives_pickle():

@@ -163,21 +163,24 @@ def test_run_sync_runs_with_the_callers_collector(monkeypatch):
 
 def test_trace_json_pauses_the_collector():
     # The collector need not be paused while the builder runs: it writes every
-    # send as text, so what it leaves for the cyclic collector grows with the
-    # rounds, not the sends. The builder that made a list per send added
-    # thousands of tracked objects here.
-    trace = run_sync(gen_named("hypercube", 10), 0)
-    assert trace.total_sends == 5120
-    gc.collect()
-    gc.disable()
-    try:
-        before = len(gc.get_objects())
-        obj = trace.to_json_obj()
-        added = len(gc.get_objects()) - before
-        del obj
-    finally:
-        gc.enable()
-    assert added <= len(trace.inboxes) + 8, added
+    # send and round-set as text, joined in blocks, so what it leaves for the
+    # cyclic collector is a few objects whatever the sends and rounds. The
+    # builder that made a list per send added thousands of tracked objects on
+    # hypercube:10, and the one that kept a list per round-set added one per
+    # round on path:20000.
+    for g, sends in ((gen_named("hypercube", 10), 5120), (gen_named("path", 20000), 19999)):
+        trace = run_sync(g, 0)
+        assert trace.total_sends == sends
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            obj = trace.to_json_obj()
+            added = len(gc.get_objects()) - before
+            del obj
+        finally:
+            gc.enable()
+        assert added <= 8, (g.n, added)
 
 
 def test_collector_is_restored_after_a_budget_error():
@@ -211,6 +214,22 @@ def test_trace_json_peak_memory_is_bounded():
         tracemalloc.stop()
     assert len(text) > 300_000
     assert peak < 3 * len(text), peak / len(text)
+
+
+def test_long_run_trace_json_peak_memory_is_bounded():
+    # One send per round: the builder joins the rounds and round-sets into
+    # blocks as it goes, so its chunks and their join peak at about twice the
+    # text. One string and one list per round peaked at 11.5 times here.
+    trace = run_sync(gen_named("path", 20000), 0)
+    dumps_stable(trace.to_json_obj())  # builds the graph's cached rev first
+    tracemalloc.start()
+    try:
+        text = dumps_stable(trace.to_json_obj())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 400_000
+    assert peak < 2.5 * len(text), peak / len(text)
 
 
 def test_single_node_graph_terminates_immediately():
